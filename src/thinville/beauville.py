@@ -21,9 +21,11 @@ from itertools import combinations
 
 from .structure import (
     BudgetExceededError,
-    _cache,
+    _left_nullspace,
     _projective_points,
     agemo,
+    conjugacy_class_reps,
+    conjugacy_orbit,
     derived_subgroup,
     exponent_p_maximal_count,
     frattini_quotient,
@@ -42,13 +44,9 @@ from .structure import (
 # ----------------------------------------------------------------------
 # socle lines and fingerprints
 
-def _conj_by_gen(pres, v, k):
-    return pres._fold(pres._fold(pres._gen_inverse(k), v), pres._unit(k))
-
-
 def line_key(pres, v):
     """Canonical label of the order-p subgroup generated by v."""
-    return min(pres._power(v, s) for s in range(1, pres.p))
+    return min(pres.power(v, s) for s in range(1, pres.p))
 
 
 def socle_key(pres, a):
@@ -61,20 +59,10 @@ def socle_key(pres, a):
 
 
 def _socle_orbit(pres, key):
-    cache = _cache(pres)
-    memo = cache.setdefault("socle-orbits", {})
+    memo = pres.cache.setdefault("socle-orbits", {})
     if key in memo:
         return memo[key]
-    seen = {key}
-    queue = [key]
-    while queue:
-        v = queue.pop()
-        for k in range(1, pres.n + 1):
-            w = line_key(pres, _conj_by_gen(pres, v, k))
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    orbit = frozenset(seen)
+    orbit = frozenset(conjugacy_orbit(pres, key, line_key))
     for v in orbit:
         memo[v] = orbit
     return orbit
@@ -100,8 +88,8 @@ def sigma_brute(pres, x, y):
         queue = [m]
         while queue:
             v = queue.pop()
-            for k in range(1, pres.n + 1):
-                w = _conj_by_gen(pres, v, k)
+            for g in pres.gens():
+                w = pres.conjugate(v, g)
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -109,7 +97,7 @@ def sigma_brute(pres, x, y):
             u = v
             while u != pres.identity:
                 out.add(u)
-                u = pres._fold(u, v)
+                u = pres.multiply(u, v)
     return out
 
 
@@ -117,27 +105,9 @@ def generates(pres, x, y) -> bool:
     """Two elements generate a p-group iff they do so modulo the
     Frattini subgroup."""
     quotient, project, lift = frattini_quotient(pres)
-    rows = [list(project(x)), list(project(y))]
-    return _rank(rows, pres.p) == quotient.n
-
-
-def _rank(rows, p):
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(e * inv) % p for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] % p:
-                f = rows[r][c]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [project(x), project(y)]
+    rank = len(rows) - len(_left_nullspace(rows, pres.p))
+    return rank == quotient.n
 
 
 # ----------------------------------------------------------------------
@@ -175,29 +145,12 @@ def verify_beauville_structure(pres, pair1, pair2):
 # ----------------------------------------------------------------------
 # exhaustive search
 
-def _outside_frattini(pres):
+def outside_frattini(pres):
+    """(the elements outside the Frattini subgroup in lexicographic
+    order, the projection onto the Frattini quotient)."""
     quotient, project, lift = frattini_quotient(pres)
     zero = (0,) * quotient.n
     return [v for v in pres.elements() if project(v) != zero], project
-
-
-def _conjugacy_reps(pres, pool):
-    seen = set()
-    reps = []
-    for v in pool:
-        if v in seen:
-            continue
-        reps.append(v)
-        queue = [v]
-        seen.add(v)
-        while queue:
-            u = queue.pop()
-            for k in range(1, pres.n + 1):
-                w = _conj_by_gen(pres, u, k)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return reps
 
 
 def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
@@ -211,8 +164,17 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
         # rank > 2: no two elements generate at all
         return BeauvilleVerdict("refuted", "exhaustive", None,
                                 "the group is not two-generated")
-    pool, project = _outside_frattini(pres)
-    reps = _conjugacy_reps(pres, pool)
+    # the pool outside the Frattini subgroup is a union of cosets of the
+    # derived subgroup, and each conjugacy class lies in one of them, so
+    # the class count is at least their number
+    pool_size = pres.order - pres.order // pres.p ** 2
+    least = pool_size * (pool_size // derived_subgroup(pres).order)
+    if least > budget:
+        raise BudgetExceededError(
+            f"exhaustive search needs at least {least} pair evaluations, "
+            f"budget is {budget}")
+    pool, project = outside_frattini(pres)
+    reps = conjugacy_class_reps(pres, pool)
     if len(reps) * len(pool) > budget:
         raise BudgetExceededError(
             f"exhaustive search needs {len(reps) * len(pool)} pair "
@@ -227,7 +189,7 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
             py = project(y)
             if (px[0] * py[1] - px[1] * py[0]) % pres.p == 0:
                 continue
-            m = pres._fold(x, y)
+            m = pres.multiply(x, y)
             triple = frozenset((sx, socle_memo[y], socle_key(pres, m)))
             if triple in seen_triples:
                 continue
@@ -278,7 +240,7 @@ def omega_negative_test(pres, budget=None) -> OmegaReport:
     zero = (0,) * quotient.n
     directions = set()
     for v in pres.elements():
-        if v == pres.identity or pres._power(v, pres.p) != pres.identity:
+        if v == pres.identity or pres.power(v, pres.p) != pres.identity:
             continue
         d = project(v)
         if d == zero:
@@ -416,29 +378,15 @@ def _guided_candidates(pres, cls):
     dirs = _projective_points(p, 2)
     derived = derived_subgroup(pres)
     shifts = [pres.identity] + list(derived.basis)
+    first = dirs
     if cls.case_label == "A4" and cls.predicted_beauville:
         # first triple inside the exponent-p maximal subgroups, second
         # triple anywhere disjoint from it
-        exp_p = [d for d in dirs
+        first = [d for d in dirs
                  if maximal_has_exponent_p(
                      pres, maximal_subgroup_of(pres, lift(d))[0])]
-        parts = []
-        for t1 in combinations(exp_p, 3):
-            pool = [d for d in dirs if d not in t1]
-            parts.extend((t1, t2) for t2 in combinations(pool, 3))
-        for t1, t2 in parts:
-            yield (_pair_for_directions(pres, lift, *t1),
-                   _pair_for_directions(pres, lift, *t2))
-        for t1, t2 in parts:
-            x1, y1 = _pair_for_directions(pres, lift, *t1)
-            x2, y2 = _pair_for_directions(pres, lift, *t2)
-            for s1 in shifts:
-                for s2 in shifts:
-                    yield (x1, pres.multiply(y1, s1)), \
-                          (x2, pres.multiply(y2, s2))
-        return
     parts = []
-    for t1 in combinations(dirs, 3):
+    for t1 in combinations(first, 3):
         rest = [d for d in dirs if d not in t1]
         parts.extend((t1, t2) for t2 in combinations(rest, 3))
     for t1, t2 in parts:

@@ -20,17 +20,16 @@ from .pcgroup import PcPresentation, parse_presentation
 from .structure import (
     agemo,
     center,
+    exponent_p_maximal_count,
     frattini_quotient,
-    gamma,
     get_budget,
     is_maximal_class,
     is_metabelian,
     is_thin,
     lattice_profile,
     lower_central_series,
-    maximal_subgroups,
-    maximal_has_exponent_p,
     nilpotency_class,
+    place_depth,
 )
 from .beauville import beauville, classify_theorem_a
 
@@ -249,8 +248,8 @@ class AnalysisReport:
     thin: bool
     power_subgroup_order: int
     place_depth: int
-    profile_tags: tuple
-    ends_with_chain: bool
+    profile_tags: tuple | None       # None for a group that is not thin
+    ends_with_chain: bool | None
     exponent_p_maximals: int | None
     case_label: str | None
     case_reason: str
@@ -261,24 +260,6 @@ class AnalysisReport:
     presentation: PcPresentation = field(repr=False, default=None)
 
 
-def place_depth(pres) -> int:
-    """Largest series index whose term contains the power subgroup.
-
-    A trivial power subgroup sits inside the final (trivial) term, so
-    the depth comes out as class + 1.
-    """
-    ag = agemo(pres)
-    depth = 1
-    i = 2
-    while True:
-        term = gamma(pres, i)
-        if all(v in term for v in ag.basis):
-            depth = i
-        if term.order == 1:
-            return depth
-        i += 1
-
-
 def analyze(entry: CatalogEntry, mode: str = "auto",
             budget=None) -> AnalysisReport:
     pres = entry.presentation
@@ -287,11 +268,10 @@ def analyze(entry: CatalogEntry, mode: str = "auto",
     quotient, project, lift = frattini_quotient(pres)
     exp_p_count = None
     if quotient.n == 2:
-        exp_p_count = sum(
-            1 for sub in maximal_subgroups(pres)
-            if maximal_has_exponent_p(pres, sub, budget))
+        exp_p_count = exponent_p_maximal_count(pres, budget)
     cls = classify_theorem_a(pres)
-    profile = lattice_profile(pres, budget)
+    thin = bool(is_thin(pres, budget).thin)
+    profile = lattice_profile(pres, budget) if thin else None
     verdict = beauville(pres, mode=mode, budget=budget)
     return AnalysisReport(
         entry_id=entry.id,
@@ -302,11 +282,12 @@ def analyze(entry: CatalogEntry, mode: str = "auto",
         widths=tuple(series.widths),
         metabelian=is_metabelian(pres),
         maximal_class=is_maximal_class(pres),
-        thin=bool(is_thin(pres).thin),
+        thin=thin,
         power_subgroup_order=agemo(pres).order,
         place_depth=place_depth(pres),
-        profile_tags=tuple(layer.tag for layer in profile.layers),
-        ends_with_chain=profile.ends_with_chain,
+        profile_tags=(tuple(layer.tag for layer in profile.layers)
+                      if thin else None),
+        ends_with_chain=profile.ends_with_chain if thin else None,
         exponent_p_maximals=exp_p_count,
         case_label=cls.case_label if cls.in_scope else None,
         case_reason=cls.reason if not cls.in_scope else "",
@@ -358,10 +339,13 @@ def report_lines(report: AnalysisReport):
         f"thin: {str(report.thin).lower()}",
         f"power-subgroup-order: {report.power_subgroup_order}",
         f"place-depth: {report.place_depth}",
-        "lattice-profile: " + (", ".join(report.profile_tags)
-                               if report.profile_tags else "(trivial)"),
-        f"ends-with-chain: {str(report.ends_with_chain).lower()}",
     ]
+    if report.thin:
+        lines.append("lattice-profile: " + (", ".join(report.profile_tags)
+                                            if report.profile_tags
+                                            else "(trivial)"))
+        lines.append(f"ends-with-chain: "
+                     f"{str(report.ends_with_chain).lower()}")
     if report.exponent_p_maximals is not None:
         lines.append(f"exponent-p-maximals: {report.exponent_p_maximals}")
     if report.case_label is not None:
@@ -391,11 +375,12 @@ def report_kv(report: AnalysisReport):
         "thin": report.thin,
         "power_subgroup_order": report.power_subgroup_order,
         "place_depth": report.place_depth,
-        "lattice_profile": ",".join(report.profile_tags),
-        "ends_with_chain": report.ends_with_chain,
-        "beauville_status": report.beauville_status,
-        "beauville_method": report.beauville_method,
     }
+    if report.thin:
+        out["lattice_profile"] = ",".join(report.profile_tags)
+        out["ends_with_chain"] = report.ends_with_chain
+    out["beauville_status"] = report.beauville_status
+    out["beauville_method"] = report.beauville_method
     if report.exponent_p_maximals is not None:
         out["exponent_p_maximals"] = report.exponent_p_maximals
     if report.case_label is not None:

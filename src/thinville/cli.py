@@ -121,7 +121,11 @@ def cmd_beauville(args):
 def cmd_lattice(args):
     entry = resolve(args.target)
     pres = entry.presentation
-    profile = lattice_profile(pres, args.budget)
+    try:
+        profile = lattice_profile(pres, args.budget)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     if not args.dot:
         print(f"id: {entry.id}")
         for layer in profile.layers:

@@ -125,7 +125,7 @@ def _layer_power_match(pres, modulus, lhs, rhs):
     out = []
     lhs_rep = canonical_coset_rep(pres, modulus, lhs)
     for e in range(pres.p):
-        if canonical_coset_rep(pres, modulus, pres._power(rhs, e)) == lhs_rep:
+        if canonical_coset_rep(pres, modulus, pres.power(rhs, e)) == lhs_rep:
             out.append(e)
     return out
 
@@ -193,7 +193,7 @@ def verify_quadratic_pair(pres, cert) -> bool:
     if is_quadratic_residue(pres.p, cert.nonresidue):
         return False
     return canonical_coset_rep(pres, mod5, lhs) \
-        == canonical_coset_rep(pres, mod5, pres._power(rhs, cert.nonresidue))
+        == canonical_coset_rep(pres, mod5, pres.power(rhs, cert.nonresidue))
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _require_derived_powers_deep(pres, depth):
     derived = derived_subgroup(pres)
     target = gamma(pres, depth)
     for b in derived.basis:
-        if pres._power(b, pres.p) not in target:
+        if pres.power(b, pres.p) not in target:
             raise ValueError(
                 "power congruences need derived p-th powers inside the "
                 f"lower central term {depth}")
@@ -270,7 +270,7 @@ def _power_coords(pres, modulus, tail_y, tail_x, xp, yp):
     table = {}
     for a in range(p):
         for b in range(p):
-            v = pres.multiply(pres._power(tail_y, a), pres._power(tail_x, b))
+            v = pres.multiply(pres.power(tail_y, a), pres.power(tail_x, b))
             table.setdefault(canonical_coset_rep(pres, modulus, v), (a, b))
     kx = table.get(canonical_coset_rep(pres, modulus, xp))
     ky = table.get(canonical_coset_rep(pres, modulus, yp))
@@ -288,7 +288,7 @@ def power_class_key(pres, vec, modulus):
     rep = canonical_coset_rep(pres, modulus, vec)
     if rep == pres.identity:
         return None
-    return min(canonical_coset_rep(pres, modulus, pres._power(vec, s))
+    return min(canonical_coset_rep(pres, modulus, pres.power(vec, s))
                for s in range(1, pres.p))
 
 
@@ -314,7 +314,7 @@ def companion_check(pres, rng, samples=20, modulus=None) -> bool:
         modulus = gamma(pres, pres.p + 1)
     derived = derived_subgroup(pres)
     for b in derived.basis:
-        if pres._power(b, pres.p) not in modulus:
+        if pres.power(b, pres.p) not in modulus:
             raise ValueError(
                 "representative independence needs derived p-th powers "
                 "inside the modulus")

@@ -22,8 +22,15 @@ read afterwards, so concurrent readers are safe once warmed up.
 
 Deliberately inconsistent presentations are still safe to collect with:
 rewriting terminates regardless, and `check_consistency` reports which
-overlap relations fail to agree.  Arithmetic methods refuse to run on a
-presentation whose consistency check failed.
+overlap relations fail to agree.
+
+The public methods (`multiply`, `power`, `inverse`, `conjugate`,
+`commutator`, `collect`, `element_order`, `gen`, `gens`) are the whole
+collector API: every other module does its arithmetic through them.  The
+arithmetic methods hold the one consistency gate: the first call runs
+the check, and once it has passed a single flag lets every later call
+through; a presentation that fails it refuses all arithmetic.  The
+private collection paths below serve only this module.
 """
 
 from __future__ import annotations
@@ -108,10 +115,17 @@ class PcPresentation:
             vec = self._relator_vector(word, base=j)
             if vec != self.identity:
                 self._comvec[(j, i)] = vec
+        self._gens = tuple(
+            tuple(1 if k == i else 0 for k in range(n)) for i in range(n))
+        self._genidx = {g: i for i, g in enumerate(self._gens, start=1)}
         self._conj = {}      # (j, i, r) -> normal form of g_j conjugated by g_i^r
         self._conjpow = {}   # (j, i, r, e) -> that conjugate to the e-th power
         self._geninv = [None] * n
         self._report = None
+        self._checked = False    # set once the consistency check has passed
+        #: results derived from the group by the other layers (series,
+        #: subgroups, quotients, orbit memos), filled on first use
+        self.cache = {}
 
     def __repr__(self):
         return f"PcPresentation(p={self.p}, rank={self.n})"
@@ -172,7 +186,8 @@ class PcPresentation:
             return got
         if r == 1:
             rel = self._comvec.get((j, i))
-            res = self._unit(j) if rel is None else self._fold(self._unit(j), rel)
+            unit = self._gens[j - 1]
+            res = unit if rel is None else self._fold(unit, rel)
         else:
             prev = self._conj_gen(j, i, r - 1)
             res = self.identity
@@ -192,9 +207,6 @@ class PcPresentation:
         res = self._fold(self._conj_gen_pow(j, i, r, e - 1), self._conj_gen(j, i, r))
         self._conjpow[key] = res
         return res
-
-    def _unit(self, i):
-        return tuple(1 if k == i - 1 else 0 for k in range(self.n))
 
     def _collect(self, word):
         v = self.identity
@@ -240,7 +252,7 @@ class PcPresentation:
     def _gen_inverse(self, i):
         cached = self._geninv[i - 1]
         if cached is None:
-            cached = self._geninv[i - 1] = self._inverse(self._unit(i))
+            cached = self._geninv[i - 1] = self._inverse(self._gens[i - 1])
         return cached
 
     # ------------------------------------------------------------------
@@ -255,10 +267,12 @@ class PcPresentation:
         return self.consistency_report().consistent
 
     def ensure_consistent(self):
-        if not self.is_consistent():
+        report = self.consistency_report()
+        if not report.consistent:
             raise InconsistentPresentationError(
                 f"presentation failed its consistency check: "
-                f"{len(self.consistency_report().failures)} overlap relations disagree")
+                f"{len(report.failures)} overlap relations disagree")
+        self._checked = True
 
     def _run_consistency(self):
         p, n = self.p, self.n
@@ -304,37 +318,45 @@ class PcPresentation:
     def gen(self, i):
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index out of range: {i}")
-        return self._unit(i)
+        return self._gens[i - 1]
 
     def gens(self):
-        return [self._unit(i) for i in range(1, self.n + 1)]
+        return list(self._gens)
 
     def collect(self, word) -> tuple:
         """Normal form of an arbitrary word; exponents may be any integers."""
-        self.ensure_consistent()
+        if not self._checked:
+            self.ensure_consistent()
         return self._collect(word)
 
     def multiply(self, a, b) -> tuple:
-        self.ensure_consistent()
+        if not self._checked:
+            self.ensure_consistent()
         return self._fold(a, b)
 
     def inverse(self, a) -> tuple:
-        self.ensure_consistent()
+        if not self._checked:
+            self.ensure_consistent()
         return self._inverse(a)
 
     def power(self, a, m: int) -> tuple:
         """a^m by square-and-multiply; m may be negative."""
-        self.ensure_consistent()
+        if not self._checked:
+            self.ensure_consistent()
         return self._power(a, m)
 
     def conjugate(self, a, g) -> tuple:
-        """g^-1 a g."""
-        self.ensure_consistent()
-        return self._fold(self._fold(self._inverse(g), a), g)
+        """g^-1 a g; the inverse of a generator g is computed once."""
+        if not self._checked:
+            self.ensure_consistent()
+        i = self._genidx.get(g)
+        ginv = self._inverse(g) if i is None else self._gen_inverse(i)
+        return self._fold(self._fold(ginv, a), g)
 
     def commutator(self, a, b) -> tuple:
         """[a, b] = a^-1 b^-1 a b."""
-        self.ensure_consistent()
+        if not self._checked:
+            self.ensure_consistent()
         return self._fold(self._inverse(self._fold(b, a)), self._fold(a, b))
 
     def left_normed_commutator(self, base, tail) -> tuple:
@@ -345,7 +367,8 @@ class PcPresentation:
         return v
 
     def element_order(self, a) -> int:
-        self.ensure_consistent()
+        if not self._checked:
+            self.ensure_consistent()
         k = 0
         b = a
         while b != self.identity:

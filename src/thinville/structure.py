@@ -43,8 +43,26 @@ def _leading(vec):
     return None
 
 
-def _cache(pres) -> dict:
-    return pres.__dict__.setdefault("_structure_cache", {})
+def _sift(pres, leadmap, u):
+    """Reduce u by the elements of leadmap (lead index -> element with
+    leading exponent 1); the identity comes back exactly when u lies in
+    the subgroup they generate as an induced sequence."""
+    while u != pres.identity:
+        l = _leading(u)
+        b = leadmap.get(l)
+        if b is None:
+            return u
+        u = pres.multiply(pres.power(b, -u[l - 1]), u)
+    return u
+
+
+def _basis_product(pres, basis, exps):
+    """basis[0]^exps[0] * basis[1]^exps[1] * ..."""
+    v = pres.identity
+    for b, e in zip(basis, exps):
+        if e:
+            v = pres.multiply(v, pres.power(b, e))
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -80,14 +98,7 @@ class Subgroup:
         return hash(self.basis)
 
     def __contains__(self, vec):
-        P = self.pres
-        u = vec
-        while u != P.identity:
-            b = self._leadmap.get(_leading(u))
-            if b is None:
-                return False
-            u = P._fold(P._power(b, -u[_leading(u) - 1]), u)
-        return True
+        return _sift(self.pres, self._leadmap, vec) == self.pres.identity
 
     def contains_subgroup(self, other) -> bool:
         return all(b in self for b in other.basis)
@@ -111,18 +122,13 @@ class Subgroup:
             if i < 0:
                 return
             exps[i] += 1
-            prefix[i + 1] = P._fold(prefix[i + 1], self.basis[i])
+            prefix[i + 1] = P.multiply(prefix[i + 1], self.basis[i])
             for j in range(i + 1, k):
                 prefix[j + 1] = prefix[j]
 
     def random_element(self, rng):
-        P = self.pres
-        v = P.identity
-        for b in self.basis:
-            e = rng.randrange(P.p)
-            if e:
-                v = P._fold(v, P._power(b, e))
-        return v
+        exps = [rng.randrange(self.pres.p) for _ in self.basis]
+        return _basis_product(self.pres, self.basis, exps)
 
 
 class _Closure:
@@ -132,36 +138,25 @@ class _Closure:
         self.slots = {}
         self.queue = []
 
-    def sift(self, u):
-        P = self.pres
-        while u != P.identity:
-            l = _leading(u)
-            b = self.slots.get(l)
-            if b is None:
-                return u
-            u = P._fold(P._power(b, -u[l - 1]), u)
-        return u
-
     def run(self, gens):
         P = self.pres
         self.queue.extend(gens)
         while self.queue:
-            u = self.sift(self.queue.pop())
+            u = _sift(P, self.slots, self.queue.pop())
             if u == P.identity:
                 continue
             l = _leading(u)
-            b = P._power(u, pow(u[l - 1], -1, P.p))
+            b = P.power(u, pow(u[l - 1], -1, P.p))
             self.slots[l] = b
-            self.queue.append(P._power(b, P.p))
+            self.queue.append(P.power(b, P.p))
             # commutator obligations, both orders
             for other in list(self.slots.values()):
                 if other is not b:
-                    self.queue.append(_comm(P, b, other))
-                    self.queue.append(_comm(P, other, b))
+                    self.queue.append(P.commutator(b, other))
+                    self.queue.append(P.commutator(other, b))
             if self.normal:
-                for k in range(1, P.n + 1):
-                    g = P._unit(k)
-                    self.queue.append(P._fold(P._fold(P._gen_inverse(k), b), g))
+                for g in P.gens():
+                    self.queue.append(P.conjugate(b, g))
         return self.canonical_basis()
 
     def canonical_basis(self):
@@ -172,13 +167,9 @@ class _Closure:
             b = self.slots[l]
             for l2 in leads:
                 if l2 > l and b[l2 - 1]:
-                    b = P._fold(b, P._power(self.slots[l2], P.p - b[l2 - 1]))
+                    b = P.multiply(b, P.power(self.slots[l2], P.p - b[l2 - 1]))
             out.append(b)
         return out
-
-
-def _comm(P, a, b):
-    return P._fold(P._inverse(P._fold(b, a)), P._fold(a, b))
 
 
 def generated_subgroup(pres, gens) -> Subgroup:
@@ -198,7 +189,7 @@ def trivial_subgroup(pres) -> Subgroup:
 
 
 def whole_group(pres) -> Subgroup:
-    cache = _cache(pres)
+    cache = pres.cache
     if "whole" not in cache:
         cache["whole"] = generated_subgroup(pres, pres.gens())
     return cache["whole"]
@@ -220,7 +211,7 @@ def is_abelian_subgroup(pres, sub) -> bool:
     basis = sub.basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if _comm(pres, basis[i], basis[j]) != pres.identity:
+            if pres.commutator(basis[i], basis[j]) != pres.identity:
                 return False
     return True
 
@@ -234,6 +225,41 @@ def is_cyclic_subgroup(pres, sub) -> bool:
 
 
 # ----------------------------------------------------------------------
+# conjugacy
+
+def conjugacy_orbit(pres, v, label=None):
+    """Everything reached from v by repeated conjugation with the
+    generators: the conjugacy class of v.  With a label map each
+    conjugate w is replaced by label(pres, w) before it is followed, so
+    the orbit is one of labels, and v must be a label itself."""
+    gens = pres.gens()
+    seen = {v}
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        for g in gens:
+            w = pres.conjugate(u, g)
+            if label is not None:
+                w = label(pres, w)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def conjugacy_class_reps(pres, pool):
+    """The first member of pool from each conjugacy class meeting it,
+    in pool order."""
+    seen = set()
+    reps = []
+    for v in pool:
+        if v not in seen:
+            reps.append(v)
+            seen |= conjugacy_orbit(pres, v)
+    return reps
+
+
+# ----------------------------------------------------------------------
 # cosets, quotient and subgroup presentations
 
 def canonical_coset_rep(pres, sub, vec):
@@ -242,14 +268,14 @@ def canonical_coset_rep(pres, sub, vec):
         l = _leading(b)
         e = vec[l - 1]
         if e:
-            vec = pres._fold(vec, pres._power(b, pres.p - e))
+            vec = pres.multiply(vec, pres.power(b, pres.p - e))
     return vec
 
 
 def quotient_presentation(pres, sub):
     """Presentation of G/N for normal N, with project and lift maps."""
     key = ("quotient", sub.basis)
-    cache = _cache(pres)
+    cache = pres.cache
     if key in cache:
         return cache[key]
     if not is_normal(pres, sub):
@@ -281,11 +307,11 @@ def quotient_presentation(pres, sub):
     powers = {}
     commutators = {}
     for a, g in enumerate(kept, start=1):
-        powers[a] = to_word(project(pres._power(pres._unit(g), pres.p)), a)
+        powers[a] = to_word(project(pres.power(pres.gen(g), pres.p)), a)
     for b_i, gj in enumerate(kept, start=1):
         for a_i, gi in enumerate(kept[:b_i - 1], start=1):
             commutators[(b_i, a_i)] = to_word(
-                project(_comm(pres, pres._unit(gj), pres._unit(gi))), b_i)
+                project(pres.commutator(pres.gen(gj), pres.gen(gi))), b_i)
     quotient = PcPresentation(pres.p, len(kept), powers, commutators)
     if not quotient.is_consistent():
         raise AssertionError("derived quotient presentation is inconsistent")
@@ -309,7 +335,7 @@ def subgroup_presentation(pres, sub):
             if i is None:
                 raise AssertionError("element left the subgroup while sifting")
             coeffs[i] = u[l - 1]
-            u = pres._fold(pres._power(basis[i], -coeffs[i]), u)
+            u = pres.multiply(pres.power(basis[i], -coeffs[i]), u)
         return coeffs
 
     def to_word(coeffs, above):
@@ -324,21 +350,17 @@ def subgroup_presentation(pres, sub):
     powers = {}
     commutators = {}
     for i in range(1, k + 1):
-        powers[i] = to_word(express(pres._power(basis[i - 1], pres.p)), i)
+        powers[i] = to_word(express(pres.power(basis[i - 1], pres.p)), i)
     for j in range(2, k + 1):
         for i in range(1, j):
             commutators[(j, i)] = to_word(
-                express(_comm(pres, basis[j - 1], basis[i - 1])), j)
+                express(pres.commutator(basis[j - 1], basis[i - 1])), j)
     inside = PcPresentation(pres.p, k, powers, commutators)
     if not inside.is_consistent():
         raise AssertionError("derived subgroup presentation is inconsistent")
 
     def embed(svec):
-        v = pres.identity
-        for i, e in enumerate(svec):
-            if e:
-                v = pres._fold(v, pres._power(basis[i], e))
-        return v
+        return _basis_product(pres, basis, svec)
 
     return inside, embed
 
@@ -354,13 +376,13 @@ class CentralSeries:
 
 
 def lower_central_series(pres) -> CentralSeries:
-    cache = _cache(pres)
+    cache = pres.cache
     if "lcs" not in cache:
         terms = [whole_group(pres)]
         while terms[-1].log_order > 0:
             current = terms[-1]
-            gens = [_comm(pres, b, pres._unit(k))
-                    for b in current.basis for k in range(1, pres.n + 1)]
+            gens = [pres.commutator(b, g)
+                    for b in current.basis for g in pres.gens()]
             nxt = normal_closure(pres, gens)
             if nxt.log_order >= current.log_order:
                 raise AssertionError("lower central series failed to descend")
@@ -384,9 +406,9 @@ def nilpotency_class(pres) -> int:
 
 
 def derived_subgroup(pres) -> Subgroup:
-    cache = _cache(pres)
+    cache = pres.cache
     if "derived" not in cache:
-        gens = [_comm(pres, pres._unit(j), pres._unit(i))
+        gens = [pres.commutator(pres.gen(j), pres.gen(i))
                 for j in range(2, pres.n + 1) for i in range(1, j)]
         cache["derived"] = normal_closure(pres, gens)
     return cache["derived"]
@@ -420,7 +442,7 @@ def _left_nullspace(rows, p):
 
 
 def center(pres) -> Subgroup:
-    cache = _cache(pres)
+    cache = pres.cache
     if "center" in cache:
         return cache["center"]
     pres.ensure_consistent()
@@ -431,20 +453,12 @@ def center(pres) -> Subgroup:
     for t in range(1, pres.n + 1):
         if C.log_order == 0:
             break
-        rows = []
-        for b in C.basis:
-            rows.append([_comm(pres, b, pres._unit(k))[t - 1]
-                         for k in range(1, pres.n + 1)])
-        null = _left_nullspace(rows, pres.p)
-        gens = []
-        for x in null:
-            v = pres.identity
-            for i, e in enumerate(x):
-                if e:
-                    v = pres._fold(v, pres._power(C.basis[i], e))
-            gens.append(v)
-        gens.extend(pres._power(b, pres.p) for b in C.basis)
-        gens.extend(_comm(pres, C.basis[i], C.basis[j])
+        rows = [[pres.commutator(b, g)[t - 1] for g in pres.gens()]
+                for b in C.basis]
+        gens = [_basis_product(pres, C.basis, x)
+                for x in _left_nullspace(rows, pres.p)]
+        gens.extend(pres.power(b, pres.p) for b in C.basis)
+        gens.extend(pres.commutator(C.basis[i], C.basis[j])
                     for i in range(len(C.basis)) for j in range(i + 1, len(C.basis)))
         C = generated_subgroup(pres, gens)
     cache["center"] = C
@@ -452,7 +466,7 @@ def center(pres) -> Subgroup:
 
 
 def upper_central_series(pres) -> CentralSeries:
-    cache = _cache(pres)
+    cache = pres.cache
     if "ucs" not in cache:
         whole = whole_group(pres)
         terms = [trivial_subgroup(pres)]
@@ -479,10 +493,10 @@ def upper_central_series(pres) -> CentralSeries:
 # agemo, omega, exponent, Frattini
 
 def frattini(pres) -> Subgroup:
-    cache = _cache(pres)
+    cache = pres.cache
     if "frattini" not in cache:
         gens = list(derived_subgroup(pres).basis)
-        gens.extend(pres._power(pres._unit(i), pres.p) for i in range(1, pres.n + 1))
+        gens.extend(pres.power(g, pres.p) for g in pres.gens())
         cache["frattini"] = generated_subgroup(pres, gens)
     return cache["frattini"]
 
@@ -499,15 +513,16 @@ def agemo(pres, budget=None) -> Subgroup:
     checking that the quotient has exponent p, enlarging on any failure.
     The certificate makes the seed choice irrelevant to the answer.
     """
-    cache = _cache(pres)
+    cache = pres.cache
     if "agemo" in cache:
         return cache["agemo"]
     budget = get_budget(budget)
     p = pres.p
-    seeds = [pres._power(pres._unit(i), p) for i in range(1, pres.n + 1)]
-    for i in range(1, pres.n + 1):
-        for j in range(i + 1, pres.n + 1):
-            seeds.append(pres._power(pres._fold(pres._unit(i), pres._unit(j)), p))
+    gens = pres.gens()
+    seeds = [pres.power(g, p) for g in gens]
+    for i in range(pres.n):
+        for j in range(i + 1, pres.n):
+            seeds.append(pres.power(pres.multiply(gens[i], gens[j]), p))
     W = normal_closure(pres, seeds)
     while True:
         if W.log_order == pres.n:
@@ -519,12 +534,12 @@ def agemo(pres, budget=None) -> Subgroup:
                 f"budget is {budget}")
         bad = None
         for q in quotient.elements():
-            if quotient._power(q, p) != quotient.identity:
+            if quotient.power(q, p) != quotient.identity:
                 bad = q
                 break
         if bad is None:
             break
-        W = normal_closure(pres, list(W.basis) + [pres._power(lift(bad), p)])
+        W = normal_closure(pres, list(W.basis) + [pres.power(lift(bad), p)])
     cache["agemo"] = W
     return W
 
@@ -535,7 +550,7 @@ def agemo_brute(pres, budget=None) -> Subgroup:
     if pres.order > budget:
         raise BudgetExceededError(
             f"brute agemo over {pres.order} elements exceeds budget {budget}")
-    gens = {pres._power(v, pres.p) for v in pres.elements()}
+    gens = {pres.power(v, pres.p) for v in pres.elements()}
     return generated_subgroup(pres, gens)
 
 
@@ -545,7 +560,7 @@ def omega1(pres, budget=None) -> Subgroup:
     if pres.order > budget:
         raise BudgetExceededError(
             f"omega over {pres.order} elements exceeds budget {budget}")
-    gens = [v for v in pres.elements() if pres._power(v, pres.p) == pres.identity]
+    gens = [v for v in pres.elements() if pres.power(v, pres.p) == pres.identity]
     return generated_subgroup(pres, gens)
 
 
@@ -560,20 +575,12 @@ def exponent(pres, sub, budget=None) -> int:
         raise BudgetExceededError(
             f"exponent sweep over {sub.order} elements exceeds budget {budget}")
     inside, _ = subgroup_presentation(pres, sub)
-    best = 1
-    for v in inside.elements():
-        k = 0
-        b = v
-        while b != inside.identity:
-            b = inside._power(b, inside.p)
-            k += 1
-        best = max(best, inside.p ** k)
-    return best
+    return max(inside.element_order(v) for v in inside.elements())
 
 
 def maximal_subgroups(pres):
     """Index-p subgroups, ordered by their direction in G/Frattini."""
-    cache = _cache(pres)
+    cache = pres.cache
     if "maximals" in cache:
         return cache["maximals"]
     quotient, project, lift = frattini_quotient(pres)
@@ -581,12 +588,12 @@ def maximal_subgroups(pres):
     phi = frattini(pres)
     out = []
     for direction in _projective_points(p, r):
-        # hyperplane spanned by all projective points orthogonal to nothing:
-        # for rank 2 a maximal subgroup is the preimage of one line
+        # for rank 2 a maximal subgroup is the preimage of one line;
+        # above that, of the hyperplane orthogonal to the direction
         if r == 2:
             span = [direction]
         else:
-            span = _hyperplane_span(direction, p, r)
+            span = _left_nullspace([[d] for d in direction], p)
         gens = list(phi.basis) + [lift(v) for v in span]
         out.append((direction, generated_subgroup(pres, gens)))
     maximals = [sub for _, sub in sorted(out, key=lambda t: t[0])]
@@ -604,17 +611,6 @@ def _projective_points(p, r):
     return sorted(pts)
 
 
-def _hyperplane_span(normal_vec, p, r):
-    rows = [list(normal_vec)]
-    return [tuple(x) for x in _left_nullspace_cols(rows, p, r)]
-
-
-def _left_nullspace_cols(rows, p, r):
-    # solutions x of rows . x = 0 (right nullspace)
-    transposed = [[rows[j][i] for j in range(len(rows))] for i in range(r)]
-    return _left_nullspace(transposed, p)
-
-
 def maximal_subgroup_of(pres, vec) -> list:
     """The maximal subgroups containing vec (one unless vec is a Frattini element)."""
     return [m for m in maximal_subgroups(pres) if vec in m]
@@ -624,7 +620,7 @@ def maximal_subgroup_of(pres, vec) -> list:
 # predicates
 
 def is_metabelian(pres) -> bool:
-    cache = _cache(pres)
+    cache = pres.cache
     if "metabelian" not in cache:
         cache["metabelian"] = is_abelian_subgroup(pres, derived_subgroup(pres))
     return cache["metabelian"]
@@ -652,7 +648,7 @@ class ThinReport:
 def is_thin(pres, budget=None) -> ThinReport:
     """Sandwich test: every normal subgroup between consecutive lower
     central terms, and every layer of width at most p^2."""
-    cache = _cache(pres)
+    cache = pres.cache
     if "thin" in cache:
         return cache["thin"]
     result = _is_thin_impl(pres, budget)
@@ -682,8 +678,8 @@ def _is_thin_impl(pres, budget):
             return ThinReport(
                 False, witness_kind="normal-subgroup", layer=i,
                 witness_element=bad, witness_subgroup=closure)
-        if not _sieve_layer(pres, upper, target, budget):
-            witness = _sieve_layer_witness(pres, upper, target, budget)
+        witness = _sieve_layer(pres, upper, target, budget)
+        if witness is not None:
             closure = normal_closure(pres, [witness])
             return ThinReport(
                 False, witness_kind="normal-subgroup", layer=i,
@@ -702,21 +698,22 @@ def _covering_holds_on_layer(pres, upper, target, deeper):
         for u in up_q.elements():
             if u in tg_q or u == quotient.identity:
                 continue
-            comms = [_comm(quotient, u, quotient._unit(k))
-                     for k in range(1, quotient.n + 1)]
+            comms = [quotient.commutator(u, g) for g in quotient.gens()]
             if generated_subgroup(quotient, comms) != tg_q:
                 return False, lift(u)
         return True, None
     for u in upper.elements():
         if u in target or u == pres.identity:
             continue
-        comms = [_comm(pres, u, pres._unit(k)) for k in range(1, pres.n + 1)]
+        comms = [pres.commutator(u, g) for g in pres.gens()]
         if generated_subgroup(pres, comms) != target:
             return False, u
     return True, None
 
 
 def _sieve_layer(pres, upper, target, budget):
+    """An element of upper outside target whose normal closure misses
+    target, or None when there is none."""
     budget = get_budget(budget)
     if upper.order > budget:
         raise BudgetExceededError(
@@ -725,17 +722,8 @@ def _sieve_layer(pres, upper, target, budget):
         if g in target:
             continue
         if not normal_closure(pres, [g]).contains_subgroup(target):
-            return False
-    return True
-
-
-def _sieve_layer_witness(pres, upper, target, budget):
-    for g in upper.elements():
-        if g in target:
-            continue
-        if not normal_closure(pres, [g]).contains_subgroup(target):
             return g
-    raise AssertionError("witness vanished between passes")
+    return None
 
 
 def is_thin_brute(pres, budget=None) -> bool:
@@ -813,7 +801,7 @@ def lattice_profile(pres, budget=None) -> LatticeProfile:
             continue
         # width 2: the layer is abelian; elementary gives p+1 intermediate
         # subgroups (diamond), cyclic gives exactly one
-        elementary = all(pres._power(b, pres.p) in lower for b in upper.basis)
+        elementary = all(pres.power(b, pres.p) in lower for b in upper.basis)
         if elementary:
             layers.append(LatticeLayer(i, width, pres.p + 3, "diamond"))
         else:
@@ -850,16 +838,12 @@ def lattice_nodes(pres, budget=None):
             if len(gens) == 2:
                 break
         if layer.tag == "diamond":
-            mids = []
-            for direction in _projective_points(p, 2):
-                v = pres.identity
-                for g, e in zip(gens, direction):
-                    if e:
-                        v = pres._fold(v, pres._power(g, e))
-                mids.append(generated_subgroup(pres, list(lower.basis) + [v]))
+            mids = [generated_subgroup(
+                        pres, list(lower.basis) + [_basis_product(pres, gens, d)])
+                    for d in _projective_points(p, 2)]
         else:
-            u = gens[0] if pres._power(gens[0], p) not in lower else gens[1]
-            mids = [generated_subgroup(pres, list(lower.basis) + [pres._power(u, p)])]
+            u = gens[0] if pres.power(gens[0], p) not in lower else gens[1]
+            mids = [generated_subgroup(pres, list(lower.basis) + [pres.power(u, p)])]
         for mid in sorted(mids, key=lambda s: s.basis):
             mid_id = len(nodes)
             nodes.append((mid, layer.index))
@@ -906,6 +890,18 @@ class PlaceOfAgemoReport:
         return all(self.checks.values()) if self.applicable else True
 
 
+def place_depth(pres) -> int:
+    """Largest lower central index whose term contains the power subgroup.
+
+    A trivial power subgroup sits inside the final (trivial) term, so
+    the depth comes out as class + 1.
+    """
+    W = agemo(pres)
+    terms = lower_central_series(pres).terms
+    return max(i for i, term in enumerate(terms, start=1)
+               if term.contains_subgroup(W))
+
+
 def verify_place_of_agemo(pres, budget=None) -> PlaceOfAgemoReport:
     report = is_thin(pres, budget)
     if not (report.thin and is_metabelian(pres) and not is_maximal_class(pres)):
@@ -915,13 +911,11 @@ def verify_place_of_agemo(pres, budget=None) -> PlaceOfAgemoReport:
     W = agemo(pres, budget)
     if W.log_order == 0:
         return PlaceOfAgemoReport(applicable=False, agemo_order=1)
-    series = lower_central_series(pres)
-    depth = max(i for i in range(1, len(series.terms) + 1)
-                if gamma(pres, i).contains_subgroup(W))
+    depth = place_depth(pres)
     p = pres.p
     derived = derived_subgroup(pres)
     derived_powers = generated_subgroup(
-        pres, [pres._power(b, p) for b in derived.basis])
+        pres, [pres.power(b, p) for b in derived.basis])
     checks = {
         "depth at least 3": depth >= 3,
         "depth at most p": depth <= p,
@@ -947,7 +941,7 @@ def covering_property_check(pres, rng, samples_per_layer=3) -> bool:
             g = upper.random_element(rng)
             while g in target:
                 g = upper.random_element(rng)
-            comms = [_comm(pres, g, pres._unit(k)) for k in range(1, pres.n + 1)]
+            comms = [pres.commutator(g, h) for h in pres.gens()]
             span = generated_subgroup(pres, comms + list(deeper.basis))
             if span != target:
                 return False
@@ -959,7 +953,7 @@ def covering_property_check(pres, rng, samples_per_layer=3) -> bool:
 
 def exponent_p_maximal_count(pres, budget=None) -> int:
     """How many maximal subgroups have exponent p."""
-    cache = _cache(pres)
+    cache = pres.cache
     if "exp-p-maximals" not in cache:
         cache["exp-p-maximals"] = sum(
             1 for sub in maximal_subgroups(pres)
@@ -1000,7 +994,7 @@ def _maximal_exponent_p_fast(pres, sub):
     if exponent(pres, derived) > p:
         return False
     rep = next(b for b in sub.basis if project(b) != (0, 0))
-    if pres._power(rep, p) != pres.identity:
+    if pres.power(rep, p) != pres.identity:
         return False
     tail = [rep] * (p - 1)
     return all(

@@ -8,6 +8,7 @@ exhaustive sweep, whose refutations are definitionally complete.
 """
 
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from thinville.beauville import (
     triple_fingerprint,
     verify_beauville_structure,
 )
+from thinville.catalog import resolve
 from thinville.structure import BudgetExceededError
 
 from test_pc_core import UnitriangularModel
@@ -212,6 +214,17 @@ def test_beauville_budget_inconclusive(h5):
     assert "budget" in v.detail
     with pytest.raises(BudgetExceededError):
         exhaustive_beauville(h5, budget=10)
+
+
+def test_exhaustive_budget_gate_fires_before_enumerating():
+    # |pool| = 5^8 - 5^6 with at least |pool| / |G'| conjugacy classes:
+    # far over the budget, decided before the pool is built
+    t0 = time.time()
+    pres = resolve("thin5-c5-A4neg").presentation
+    v = beauville(pres, mode="exhaustive", budget=10)
+    assert v.status == "inconclusive"
+    assert "budget is 10" in v.detail
+    assert time.time() - t0 < 10
 
 
 def test_beauville_unknown_mode(h5):

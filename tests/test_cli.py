@@ -69,6 +69,31 @@ def test_lattice_dot(capsys):
     assert out2 == out
 
 
+def test_analyze_non_thin_leaves_out_lattice_lines(capsys):
+    rc, out, err = run(capsys, "analyze", "cpk2-3-2")
+    assert rc == 0, err
+    assert "thin: false" in out
+    assert "lattice-profile" not in out
+    assert "ends-with-chain" not in out
+    assert "beauville: refuted (catanese)" in out
+
+
+def test_analyze_json_non_thin_leaves_out_lattice_keys(capsys):
+    rc, out, err = run(capsys, "analyze", "sg-3_6-40", "--guided", "--json")
+    assert rc == 0, err
+    data = json.loads(out)
+    assert data["thin"] is False
+    assert "lattice_profile" not in data
+    assert "ends_with_chain" not in data
+
+
+def test_lattice_non_thin_is_usage_error(capsys):
+    rc, out, err = run(capsys, "lattice", "cpk2-3-2")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: lattice profile requires a thin group\n"
+
+
 def test_formulas_pass(capsys):
     rc, out, _ = run(capsys, "formulas", "--p", "11")
     assert rc == 0

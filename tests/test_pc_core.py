@@ -150,6 +150,20 @@ def test_inverse_and_power_match_matrix_oracle(ut43):
         assert P.power(a, k) == ut43.vector_of(ut43.matrix_power(ut43.matrix_of(a), k))
 
 
+def test_conjugate_matches_matrix_oracle(ut43):
+    # generators take the cached-inverse path, random elements the other
+    P = ut43.presentation
+    rng = random.Random(13)
+    conjugators = P.gens() + [random_element(P, rng) for _ in range(6)]
+    for _ in range(20):
+        a = random_element(P, rng)
+        for g in conjugators:
+            mg = ut43.matrix_of(g)
+            want = _matmul(ut43.p, _matmul(ut43.p, _matinv(ut43.p, mg),
+                                           ut43.matrix_of(a)), mg)
+            assert P.conjugate(a, g) == ut43.vector_of(want)
+
+
 def test_deep_tower_collector_matches_matrix_oracle():
     model = UnitriangularModel(5, 3)  # rank 10, class 4
     P = model.presentation

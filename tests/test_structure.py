@@ -5,6 +5,7 @@ normal closures via full conjugation orbits, centers by testing every
 element. Echelon results must match them exactly.
 """
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from thinville.pcgroup import PcPresentation
 from thinville.structure import (
     BudgetExceededError,
     Subgroup,
+    _left_nullspace,
     agemo,
     agemo_brute,
     canonical_coset_rep,
@@ -343,6 +345,32 @@ def test_maximal_subgroups(h5, ut43, c5c5):
 def test_maximal_subgroups_are_normal(h5):
     for m in maximal_subgroups(h5):
         assert is_normal(h5, m)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_echelon_matches_brute_force(p):
+    """The one row-reduction routine: its nullspace basis spans exactly
+    the brute-force left kernel, and len(rows) minus its size is the
+    rank, read off the brute-force row space."""
+    rng = random.Random(p)
+    for _ in range(60):
+        k, m = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randrange(p) if rng.random() < 0.7 else 0
+                 for _ in range(m)] for _ in range(k)]
+        null = _left_nullspace(rows, p)
+        combos = list(itertools.product(range(p), repeat=k))
+
+        def combine(x, vectors, width):
+            return tuple(sum(c * v[j] for c, v in zip(x, vectors)) % p
+                         for j in range(width))
+
+        kernel = {x for x in combos if not any(combine(x, rows, m))}
+        span = {combine(c, null, k)
+                for c in itertools.product(range(p), repeat=len(null))}
+        assert span == kernel
+        assert len(kernel) == p ** len(null)
+        row_space = {combine(x, rows, m) for x in combos}
+        assert p ** (k - len(null)) == len(row_space)
 
 
 # ----------------------------------------------------------------------

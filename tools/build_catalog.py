@@ -32,9 +32,7 @@ from thinville.pcgroup import PcPresentation, format_element
 from thinville.structure import (
     agemo,
     center,
-    derived_subgroup,
-    frattini_quotient,
-    gamma,
+    conjugacy_class_reps,
     is_maximal_class,
     is_metabelian,
     is_thin,
@@ -45,6 +43,7 @@ from thinville.beauville import (
     classify_theorem_a,
     exhaustive_beauville,
     guided_beauville,
+    outside_frattini,
 )
 
 
@@ -278,32 +277,6 @@ def invariant_key(pres):
             order_histogram(pres))
 
 
-def _outside_pool(pres):
-    quotient, project, lift = frattini_quotient(pres)
-    zero = (0,) * quotient.n
-    pool = [v for v in pres.elements() if project(v) != zero]
-    return pool, project
-
-
-def _conjugacy_reps(pres, pool):
-    seen = set()
-    reps = []
-    for v in pool:
-        if v in seen:
-            continue
-        reps.append(v)
-        queue = [v]
-        seen.add(v)
-        while queue:
-            u = queue.pop()
-            for k in range(1, pres.n + 1):
-                w = pres.conjugate(u, pres.gen(k))
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return reps
-
-
 def _span_table(pres, basis):
     """Map every ordered product over basis to its exponent tuple.
 
@@ -421,8 +394,8 @@ def template_tuple(pres):
 
 def has_pair_with_tuple(pres, target_tuple):
     rebuild = rebuild_rank5 if pres.n == 5 else rebuild_rank6
-    pool, project = _outside_pool(pres)
-    reps = _conjugacy_reps(pres, pool)
+    pool, project = outside_frattini(pres)
+    reps = conjugacy_class_reps(pres, pool)
     p = pres.p
     for a in reps:
         pa = project(a)
@@ -492,12 +465,16 @@ def pc_text(pres, header_lines):
     lines = list(header_lines)
     lines.append(f"p {pres.p}")
     lines.append(f"n {pres.n}")
-    for i in range(1, pres.n + 1):
-        vec = pres._powvec[i - 1]
+    gens = pres.gens()
+    for i, g in enumerate(gens, start=1):
+        vec = pres.power(g, pres.p)
         if vec != pres.identity:
             lines.append(f"pow {i} = " + format_element(vec))
-    for (j, i) in sorted(pres._comvec):
-        lines.append(f"comm {j} {i} = " + format_element(pres._comvec[(j, i)]))
+    for j, gj in enumerate(gens, start=1):
+        for i, gi in enumerate(gens[:j - 1], start=1):
+            vec = pres.commutator(gj, gi)
+            if vec != pres.identity:
+                lines.append(f"comm {j} {i} = " + format_element(vec))
     return "\n".join(lines) + "\n"
 
 
