@@ -24,6 +24,7 @@ from .structure import (
     _left_nullspace,
     _projective_points,
     agemo,
+    check_budget,
     conjugacy_class_reps,
     conjugacy_orbit,
     derived_subgroup,
@@ -31,7 +32,6 @@ from .structure import (
     frattini_quotient,
     gamma,
     generated_subgroup,
-    get_budget,
     is_maximal_class,
     is_metabelian,
     is_thin,
@@ -157,7 +157,6 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     """Enumerate every generating pair up to conjugacy of the first
     member, collect the distinct fingerprints, and look for a disjoint
     pair. Completing the sweep with no disjoint pair refutes."""
-    budget = get_budget(budget)
     quotient, project, lift = frattini_quotient(pres)
     if quotient.n != 2:
         # rank 1: every two cyclic subgroups share the unique socle;
@@ -169,16 +168,12 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     # the class count is at least their number
     pool_size = pres.order - pres.order // pres.p ** 2
     least = pool_size * (pool_size // derived_subgroup(pres).order)
-    if least > budget:
-        raise BudgetExceededError(
-            f"exhaustive search needs at least {least} pair evaluations, "
-            f"budget is {budget}")
+    check_budget(least, budget,
+                 "exhaustive search needs at least {} pair evaluations")
     pool, project = outside_frattini(pres)
     reps = conjugacy_class_reps(pres, pool)
-    if len(reps) * len(pool) > budget:
-        raise BudgetExceededError(
-            f"exhaustive search needs {len(reps) * len(pool)} pair "
-            f"evaluations, budget is {budget}")
+    check_budget(len(reps) * len(pool), budget,
+                 "exhaustive search needs {} pair evaluations")
     socle_memo = {v: socle_key(pres, v) for v in pool}
     seen_triples = set()
     fingerprints = {}
@@ -189,8 +184,10 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
             py = project(y)
             if (px[0] * py[1] - px[1] * py[0]) % pres.p == 0:
                 continue
+            # x and y are independent modulo the Frattini subgroup, so
+            # xy lies outside it and is in the pool
             m = pres.multiply(x, y)
-            triple = frozenset((sx, socle_memo[y], socle_key(pres, m)))
+            triple = frozenset((sx, socle_memo[y], socle_memo[m]))
             if triple in seen_triples:
                 continue
             seen_triples.add(triple)
@@ -228,26 +225,15 @@ def omega_negative_test(pres, budget=None) -> OmegaReport:
     of the Frattini subgroup lie in every maximal subgroup and are
     ignored.
     """
-    budget = get_budget(budget)
-    if agemo(pres).order != pres.p:
+    if agemo(pres, budget).order != pres.p:
         return OmegaReport(False, False, (),
                            "power subgroup does not have order p")
-    if pres.order > budget:
-        raise BudgetExceededError(
-            f"order-p element scan needs {pres.order} elements, "
-            f"budget is {budget}")
+    check_budget(pres.order, budget, "order-p element scan needs {} elements")
     quotient, project, lift = frattini_quotient(pres)
-    zero = (0,) * quotient.n
-    directions = set()
-    for v in pres.elements():
-        if v == pres.identity or pres.power(v, pres.p) != pres.identity:
-            continue
-        d = project(v)
-        if d == zero:
-            continue
-        lead = next(e for e in d if e)
-        inv = pow(lead, -1, pres.p)
-        directions.add(tuple((e * inv) % pres.p for e in d))
+    directions = {_direction_of(pres, project, v) for v in pres.elements()
+                  if v != pres.identity
+                  and pres.power(v, pres.p) == pres.identity}
+    directions.discard(None)
     dirs = tuple(sorted(directions))
     refuted = len(dirs) <= 2
     return OmegaReport(True, refuted, dirs,
@@ -304,13 +290,13 @@ class TheoremAClassification:
     details: dict = field(default_factory=dict)
 
 
-def classify_theorem_a(pres) -> TheoremAClassification:
+def classify_theorem_a(pres, budget=None) -> TheoremAClassification:
     p = pres.p
     if p < 5:
         return TheoremAClassification(False, "prime below five")
     if not is_metabelian(pres):
         return TheoremAClassification(False, "not metabelian")
-    if not is_thin(pres).thin:
+    if not is_thin(pres, budget).thin:
         return TheoremAClassification(False, "not thin")
     if is_maximal_class(pres):
         return TheoremAClassification(False, "maximal class excluded")
@@ -330,12 +316,12 @@ def classify_theorem_a(pres) -> TheoremAClassification:
         return TheoremAClassification(
             True, "deepest term has unexpected order", None, None, None,
             details)
-    ag = agemo(pres)
+    ag = agemo(pres, budget)
     details["power_subgroup_log"] = ag.log_order
     if ag.basis == gamma(pres, p - 1).basis:
         return TheoremAClassification(True, "", "A3", True, None, details)
     if ag.basis == deep.basis:
-        count = exponent_p_maximal_count(pres)
+        count = exponent_p_maximal_count(pres, budget)
         return TheoremAClassification(True, "", "A4", count >= 3, count,
                                       details)
     return TheoremAClassification(
@@ -403,12 +389,11 @@ def _guided_candidates(pres, cls):
                       (x2, pres.multiply(y2, s2))
 
 
-def guided_beauville(pres, budget=None, rng=None) -> BeauvilleVerdict:
+def guided_beauville(pres, budget=None) -> BeauvilleVerdict:
     """Case-driven search. Positive cases walk recipe candidates and
     re-verify each; the remaining case refutes through the order-p
     element scan when it applies."""
-    budget = get_budget(budget)
-    cls = classify_theorem_a(pres)
+    cls = classify_theorem_a(pres, budget)
     if not cls.in_scope:
         if derived_subgroup(pres).order == 1:
             return catanese_criterion(pres)
@@ -436,7 +421,7 @@ def guided_beauville(pres, budget=None, rng=None) -> BeauvilleVerdict:
             return BeauvilleVerdict(
                 "found", f"guided-{cls.case_label}", cert)
     # randomized fallback: derived-subgroup shifts of the base pairs
-    rng = rng or random.Random(17)
+    rng = random.Random(17)
     quotient, project, lift = frattini_quotient(pres)
     derived = derived_subgroup(pres)
     x, y = lift((1, 0)), lift((0, 1))
@@ -456,20 +441,23 @@ def guided_beauville(pres, budget=None, rng=None) -> BeauvilleVerdict:
 
 def beauville(pres, mode="auto", budget=None) -> BeauvilleVerdict:
     """Dispatch: abelian groups go to the classification, small groups
-    to the exhaustive sweep, the rest to the guided recipes."""
-    budget = get_budget(budget)
-    if mode == "exhaustive":
+    to the exhaustive sweep, the rest to the guided recipes.  This is
+    the one place where an exceeded budget becomes a verdict:
+    inconclusive, by the exhaustive method in exhaustive mode and by
+    the guided one otherwise."""
+    if mode not in ("auto", "exhaustive", "guided"):
+        raise ValueError(f"unknown search mode: {mode}")
+    try:
+        if mode == "exhaustive":
+            return exhaustive_beauville(pres, budget)
+        if mode == "guided":
+            return guided_beauville(pres, budget)
+        if derived_subgroup(pres).order == 1:
+            return catanese_criterion(pres)
         try:
             return exhaustive_beauville(pres, budget)
-        except BudgetExceededError as e:
-            return BeauvilleVerdict("inconclusive", "exhaustive", None, str(e))
-    if mode == "guided":
-        return guided_beauville(pres, budget)
-    if mode != "auto":
-        raise ValueError(f"unknown search mode: {mode}")
-    if derived_subgroup(pres).order == 1:
-        return catanese_criterion(pres)
-    try:
-        return exhaustive_beauville(pres, budget)
-    except BudgetExceededError:
-        return guided_beauville(pres, budget)
+        except BudgetExceededError:
+            return guided_beauville(pres, budget)
+    except BudgetExceededError as err:
+        method = "exhaustive" if mode == "exhaustive" else "guided"
+        return BeauvilleVerdict("inconclusive", method, None, str(err))

@@ -22,7 +22,6 @@ from .structure import (
     center,
     exponent_p_maximal_count,
     frattini_quotient,
-    get_budget,
     is_maximal_class,
     is_metabelian,
     is_thin,
@@ -203,18 +202,18 @@ def data_entry_paths():
     return sorted(str(f) for f in root.iterdir() if f.name.endswith(".pc"))
 
 
-def catalog_entries(check: bool = True):
+def catalog_entries():
     """All shipped entries: the builtin set, then the data files."""
     out = []
     for entry_id in BUILTIN_IDS:
         out.append(CatalogEntry(entry_id, "builtin", "builtin construction",
                                 {}, builtin(entry_id)))
     for path in data_entry_paths():
-        out.append(ingest(path, check=check))
+        out.append(ingest(path))
     return out
 
 
-def resolve(target: str, check: bool = True) -> CatalogEntry:
+def resolve(target: str) -> CatalogEntry:
     """Find a target by builtin id, shipped-file id, or filesystem path."""
     if is_builtin_id(target):
         return CatalogEntry(target, "builtin", "builtin construction",
@@ -222,14 +221,14 @@ def resolve(target: str, check: bool = True) -> CatalogEntry:
     for path in data_entry_paths():
         stem = path.rsplit("/", 1)[-1][:-3]
         if stem == target:
-            return ingest(path, check=check)
+            return ingest(path)
     try:
         with open(target):
             pass
     except OSError:
         raise UnknownTargetError(
             f"unknown catalog target: {target!r}") from None
-    return ingest(target, check=check)
+    return ingest(target)
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +262,12 @@ class AnalysisReport:
 def analyze(entry: CatalogEntry, mode: str = "auto",
             budget=None) -> AnalysisReport:
     pres = entry.presentation
-    budget = get_budget(budget)
     series = lower_central_series(pres)
     quotient, project, lift = frattini_quotient(pres)
     exp_p_count = None
     if quotient.n == 2:
         exp_p_count = exponent_p_maximal_count(pres, budget)
-    cls = classify_theorem_a(pres)
+    cls = classify_theorem_a(pres, budget)
     thin = bool(is_thin(pres, budget).thin)
     profile = lattice_profile(pres, budget) if thin else None
     verdict = beauville(pres, mode=mode, budget=budget)
@@ -283,7 +281,7 @@ def analyze(entry: CatalogEntry, mode: str = "auto",
         metabelian=is_metabelian(pres),
         maximal_class=is_maximal_class(pres),
         thin=thin,
-        power_subgroup_order=agemo(pres).order,
+        power_subgroup_order=agemo(pres, budget).order,
         place_depth=place_depth(pres),
         profile_tags=(tuple(layer.tag for layer in profile.layers)
                       if thin else None),

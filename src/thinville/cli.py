@@ -2,7 +2,8 @@
 
 Subcommands: analyze, beauville, lattice, formulas, verify-theorems.
 Exit codes: 0 all checks pass, 1 assertion failure, 2 usage error,
-3 inconclusive where a definite answer was required.  Output carries
+3 inconclusive where a definite answer was required, and for any budget
+overrun that escapes a subcommand.  Output carries
 no timestamps or machine-specific content, so fixed inputs and flags
 produce identical bytes.
 """
@@ -32,10 +33,9 @@ from .congruence import (
     rational_exponent,
     smallest_nonresidue,
 )
-from .structure import BudgetExceededError, get_budget, lattice_profile, \
+from .structure import BudgetExceededError, lattice_profile, \
     lattice_nodes, center, is_thin, is_metabelian
-from .beauville import beauville, classify_theorem_a, exhaustive_beauville, \
-    guided_beauville
+from .beauville import beauville, classify_theorem_a
 
 
 EXIT_OK = 0
@@ -90,12 +90,7 @@ def cmd_analyze(args):
 def cmd_beauville(args):
     entry = resolve(args.target)
     pres = entry.presentation
-    try:
-        verdict = beauville(pres, mode=_search_mode(args),
-                            budget=args.budget)
-    except BudgetExceededError as err:
-        print(f"inconclusive: {err}")
-        return EXIT_OK
+    verdict = beauville(pres, mode=_search_mode(args), budget=args.budget)
     if args.json:
         out = {"id": entry.id, "status": verdict.status,
                "method": verdict.method}
@@ -224,11 +219,10 @@ def _suite_p3(budget):
     found_ids = set()
     for entry in entries:
         pres = entry.presentation
-        try:
-            verdict = exhaustive_beauville(pres, budget)
-        except BudgetExceededError as err:
+        verdict = beauville(pres, "exhaustive", budget)
+        if verdict.status == "inconclusive":
             lines.append(_suite_line(False, f"{entry.id}: inconclusive "
-                                            f"({err})"))
+                                            f"({verdict.detail})"))
             inconclusive = True
             continue
         thin = bool(is_thin(pres).thin)
@@ -281,13 +275,13 @@ def _suite_p5(budget):
     seen_cases = {}
     for entry in entries:
         pres = entry.presentation
-        cls = classify_theorem_a(pres)
+        cls = classify_theorem_a(pres, budget)
         if not cls.in_scope or cls.case_label is None:
             ok_all = False
             lines.append(_suite_line(
                 False, f"{entry.id}: not classified ({cls.reason})"))
             continue
-        verdict = guided_beauville(pres, budget)
+        verdict = beauville(pres, "guided", budget)
         if verdict.status == "inconclusive":
             lines.append(_suite_line(
                 False, f"{entry.id}: inconclusive ({verdict.detail})"))
@@ -390,6 +384,10 @@ def main(argv=None) -> int:
     except CatalogError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ASSERTION
+    except BudgetExceededError as err:
+        # the work a verdict rests on did not fit the budget
+        print(f"inconclusive: {err}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

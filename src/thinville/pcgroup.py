@@ -278,24 +278,21 @@ class PcPresentation:
         p, n = self.p, self.n
         fails = []
 
-        def word_of(vec):
-            return [(k + 1, e) for k, e in enumerate(vec) if e]
-
         def record(kind, idx, lhs, rhs):
             if lhs != rhs:
                 fails.append((kind, idx, lhs, rhs))
 
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                w_ji = word_of(self._comvec.get((j, i), self.identity))
+                w_ji = self.word_of(self._comvec.get((j, i), self.identity))
                 for k in range(j + 1, n + 1):
-                    w_kj = word_of(self._comvec.get((k, j), self.identity))
+                    w_kj = self.word_of(self._comvec.get((k, j), self.identity))
                     record(
                         "product", (k, j, i),
                         self._collect([(j, 1), (k, 1)] + w_kj + [(i, 1)]),
                         self._collect([(k, 1), (i, 1), (j, 1)] + w_ji))
-                w_j = word_of(self._powvec[j - 1])
-                w_i = word_of(self._powvec[i - 1])
+                w_j = self.word_of(self._powvec[j - 1])
+                w_i = self.word_of(self._powvec[i - 1])
                 record(
                     "power-left", (j, i),
                     self._collect(w_j + [(i, 1)]),
@@ -305,7 +302,7 @@ class PcPresentation:
                     self._collect([(j, 1)] + w_i),
                     self._collect([(i, 1), (j, 1)] + w_ji + [(i, p - 1)]))
         for i in range(1, n + 1):
-            w_i = word_of(self._powvec[i - 1])
+            w_i = self.word_of(self._powvec[i - 1])
             record(
                 "power-self", (i,),
                 self._collect([(i, 1)] + w_i),

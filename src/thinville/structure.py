@@ -9,10 +9,12 @@ closure) run a queue that keeps the product set closed under p-th
 powers, commutators, and, for normal closures, conjugation by the
 presentation generators.
 
-The enumerating operations (agemo, omega, exponent, brute lattice
-walks) respect an element budget, settable per call or through the
-THINVILLE_BUDGET environment variable; exceeding it raises
-BudgetExceededError rather than returning a partial answer.
+The enumerating operations (agemo, omega, exponent, the thinness
+sieve, brute lattice walks) respect an element budget, settable per call
+or through the THINVILLE_BUDGET environment variable.  They all go
+through one gate, check_budget, which compares the count a phase needs
+with the budget before the phase starts and raises BudgetExceededError
+rather than letting it return a partial answer.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ def get_budget(budget=None) -> int:
     if budget is not None:
         return int(budget)
     return int(os.environ.get("THINVILLE_BUDGET", DEFAULT_BUDGET))
+
+
+def check_budget(needed, budget, what):
+    """The budget gate: raise BudgetExceededError before a phase that
+    needs `needed` steps when that is more than the budget (None means
+    THINVILLE_BUDGET, else the default).  `what` describes the phase,
+    with `{}` where the count goes."""
+    budget = get_budget(budget)
+    if needed > budget:
+        raise BudgetExceededError(
+            what.format(needed) + f", budget is {budget}")
 
 
 def _leading(vec):
@@ -272,6 +285,29 @@ def canonical_coset_rep(pres, sub, vec):
     return vec
 
 
+def _presentation_on(pres, images, coords, what):
+    """Presentation on the listed elements of pres, in order, whose
+    relators are read through coords (an element's exponent vector in
+    the new generators)."""
+    k = len(images)
+
+    def to_word(vec, above):
+        word = [(i, e) for i, e in enumerate(coords(vec), start=1) if e]
+        if word and word[0][0] <= above:
+            raise AssertionError(f"{what} relator fell below its base")
+        return word
+
+    powers = {i: to_word(pres.power(images[i - 1], pres.p), i)
+              for i in range(1, k + 1)}
+    commutators = {
+        (j, i): to_word(pres.commutator(images[j - 1], images[i - 1]), j)
+        for j in range(2, k + 1) for i in range(1, j)}
+    out = PcPresentation(pres.p, k, powers, commutators)
+    if not out.is_consistent():
+        raise AssertionError(f"derived {what} presentation is inconsistent")
+    return out
+
+
 def quotient_presentation(pres, sub):
     """Presentation of G/N for normal N, with project and lift maps."""
     key = ("quotient", sub.basis)
@@ -283,7 +319,6 @@ def quotient_presentation(pres, sub):
     kept = [i for i in range(1, pres.n + 1) if i not in sub._leadmap]
     if not kept:
         raise ValueError("quotient by the whole group is trivial")
-    kept_pos = {g: a + 1 for a, g in enumerate(kept)}
 
     def project(vec):
         r = canonical_coset_rep(pres, sub, vec)
@@ -295,26 +330,8 @@ def quotient_presentation(pres, sub):
             out[g - 1] = qvec[a]
         return tuple(out)
 
-    def to_word(qvec, above):
-        word = []
-        for a, e in enumerate(qvec):
-            if e:
-                if a + 1 <= above:
-                    raise AssertionError("quotient relator fell below its base")
-                word.append((a + 1, e))
-        return word
-
-    powers = {}
-    commutators = {}
-    for a, g in enumerate(kept, start=1):
-        powers[a] = to_word(project(pres.power(pres.gen(g), pres.p)), a)
-    for b_i, gj in enumerate(kept, start=1):
-        for a_i, gi in enumerate(kept[:b_i - 1], start=1):
-            commutators[(b_i, a_i)] = to_word(
-                project(pres.commutator(pres.gen(gj), pres.gen(gi))), b_i)
-    quotient = PcPresentation(pres.p, len(kept), powers, commutators)
-    if not quotient.is_consistent():
-        raise AssertionError("derived quotient presentation is inconsistent")
+    quotient = _presentation_on(
+        pres, [pres.gen(g) for g in kept], project, "quotient")
     cache[key] = (quotient, project, lift)
     return cache[key]
 
@@ -338,26 +355,7 @@ def subgroup_presentation(pres, sub):
             u = pres.multiply(pres.power(basis[i], -coeffs[i]), u)
         return coeffs
 
-    def to_word(coeffs, above):
-        word = []
-        for i, e in enumerate(coeffs, start=1):
-            if e:
-                if i <= above:
-                    raise AssertionError("subgroup relator fell below its base")
-                word.append((i, e))
-        return word
-
-    powers = {}
-    commutators = {}
-    for i in range(1, k + 1):
-        powers[i] = to_word(express(pres.power(basis[i - 1], pres.p)), i)
-    for j in range(2, k + 1):
-        for i in range(1, j):
-            commutators[(j, i)] = to_word(
-                express(pres.commutator(basis[j - 1], basis[i - 1])), j)
-    inside = PcPresentation(pres.p, k, powers, commutators)
-    if not inside.is_consistent():
-        raise AssertionError("derived subgroup presentation is inconsistent")
+    inside = _presentation_on(pres, basis, express, "subgroup")
 
     def embed(svec):
         return _basis_product(pres, basis, svec)
@@ -516,7 +514,6 @@ def agemo(pres, budget=None) -> Subgroup:
     cache = pres.cache
     if "agemo" in cache:
         return cache["agemo"]
-    budget = get_budget(budget)
     p = pres.p
     gens = pres.gens()
     seeds = [pres.power(g, p) for g in gens]
@@ -528,10 +525,8 @@ def agemo(pres, budget=None) -> Subgroup:
         if W.log_order == pres.n:
             break
         quotient, project, lift = quotient_presentation(pres, W)
-        if quotient.order > budget:
-            raise BudgetExceededError(
-                f"certifying the agemo needs a sweep over {quotient.order} cosets, "
-                f"budget is {budget}")
+        check_budget(quotient.order, budget,
+                     "certifying the agemo needs a sweep over {} cosets")
         bad = None
         for q in quotient.elements():
             if quotient.power(q, p) != quotient.identity:
@@ -546,20 +541,14 @@ def agemo(pres, budget=None) -> Subgroup:
 
 def agemo_brute(pres, budget=None) -> Subgroup:
     """Reference agemo by enumerating every element's p-th power."""
-    budget = get_budget(budget)
-    if pres.order > budget:
-        raise BudgetExceededError(
-            f"brute agemo over {pres.order} elements exceeds budget {budget}")
+    check_budget(pres.order, budget, "brute agemo needs {} elements")
     gens = {pres.power(v, pres.p) for v in pres.elements()}
     return generated_subgroup(pres, gens)
 
 
 def omega1(pres, budget=None) -> Subgroup:
     """Subgroup generated by the elements of order dividing p."""
-    budget = get_budget(budget)
-    if pres.order > budget:
-        raise BudgetExceededError(
-            f"omega over {pres.order} elements exceeds budget {budget}")
+    check_budget(pres.order, budget, "omega sweep needs {} elements")
     gens = [v for v in pres.elements() if pres.power(v, pres.p) == pres.identity]
     return generated_subgroup(pres, gens)
 
@@ -570,10 +559,7 @@ def exponent(pres, sub, budget=None) -> int:
         return 1
     if is_abelian_subgroup(pres, sub):
         return max(pres.element_order(b) for b in sub.basis)
-    budget = get_budget(budget)
-    if sub.order > budget:
-        raise BudgetExceededError(
-            f"exponent sweep over {sub.order} elements exceeds budget {budget}")
+    check_budget(sub.order, budget, "exponent sweep needs {} elements")
     inside, _ = subgroup_presentation(pres, sub)
     return max(inside.element_order(v) for v in inside.elements())
 
@@ -691,33 +677,24 @@ def _covering_holds_on_layer(pres, upper, target, deeper):
     """Check [g,G] deeper = target for all g in upper minus target,
     ranging g over representatives modulo deeper (enough: commutators
     of deeper against G land below deeper)."""
+    group, lift = pres, None
     if deeper.log_order:
-        quotient, project, lift = quotient_presentation(pres, deeper)
-        up_q = generated_subgroup(quotient, [project(b) for b in upper.basis])
-        tg_q = generated_subgroup(quotient, [project(b) for b in target.basis])
-        for u in up_q.elements():
-            if u in tg_q or u == quotient.identity:
-                continue
-            comms = [quotient.commutator(u, g) for g in quotient.gens()]
-            if generated_subgroup(quotient, comms) != tg_q:
-                return False, lift(u)
-        return True, None
+        group, project, lift = quotient_presentation(pres, deeper)
+        upper = generated_subgroup(group, [project(b) for b in upper.basis])
+        target = generated_subgroup(group, [project(b) for b in target.basis])
     for u in upper.elements():
-        if u in target or u == pres.identity:
+        if u in target or u == group.identity:
             continue
-        comms = [pres.commutator(u, g) for g in pres.gens()]
-        if generated_subgroup(pres, comms) != target:
-            return False, u
+        comms = [group.commutator(u, g) for g in group.gens()]
+        if generated_subgroup(group, comms) != target:
+            return False, lift(u) if lift else u
     return True, None
 
 
 def _sieve_layer(pres, upper, target, budget):
     """An element of upper outside target whose normal closure misses
     target, or None when there is none."""
-    budget = get_budget(budget)
-    if upper.order > budget:
-        raise BudgetExceededError(
-            f"thinness sieve over {upper.order} elements exceeds budget {budget}")
+    check_budget(upper.order, budget, "thinness sieve needs {} elements")
     for g in upper.elements():
         if g in target:
             continue
@@ -746,10 +723,7 @@ def is_thin_brute(pres, budget=None) -> bool:
 
 def normal_subgroups(pres, budget=None):
     """All normal subgroups: cyclic normal closures, closed under join."""
-    budget = get_budget(budget)
-    if pres.order > budget:
-        raise BudgetExceededError(
-            f"normal subgroup walk over {pres.order} elements exceeds budget {budget}")
+    check_budget(pres.order, budget, "normal subgroup walk needs {} elements")
     found = {}
     for v in pres.elements():
         sub = normal_closure(pres, [v])

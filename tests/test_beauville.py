@@ -227,6 +227,21 @@ def test_exhaustive_budget_gate_fires_before_enumerating():
     assert time.time() - t0 < 10
 
 
+def test_guided_budget_is_inconclusive():
+    # the classification's agemo certificate needs 5^7 cosets
+    pres = resolve("thin5-c5-A4neg").presentation
+    v = beauville(pres, mode="guided", budget=1000)
+    assert v.status == "inconclusive"
+    assert v.method == "guided"
+    assert v.detail.endswith("budget is 1000")
+
+
+def test_classification_honours_budget():
+    pres = resolve("thin5-c5-A4pos").presentation
+    with pytest.raises(BudgetExceededError):
+        classify_theorem_a(pres, budget=1000)
+
+
 def test_beauville_unknown_mode(h5):
     with pytest.raises(ValueError):
         beauville(h5, mode="fancy")

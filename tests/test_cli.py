@@ -1,8 +1,16 @@
 """Driver-level checks: output shape, determinism, exit codes."""
 
 import json
+import time
+from pathlib import Path
 
+import pytest
+
+from thinville.catalog import BUILTIN_IDS, data_entry_paths
 from thinville.cli import main
+
+TARGETS = list(BUILTIN_IDS) + [Path(p).stem for p in data_entry_paths()]
+NON_THIN = {"cpk2-3-2", "cpk2-5-2", "sg-3_6-40"}
 
 
 def run(capsys, *argv):
@@ -135,3 +143,26 @@ def test_missing_subcommand_is_usage_error(capsys):
     except SystemExit as exc:
         rc = exc.code
     assert rc == 2
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_small_budget_contract(capsys, target):
+    # every subcommand stops before the expensive work and ends with a
+    # verdict or a contract exit code, never a traceback
+    for argv in (("analyze", target, "--json"), ("beauville", target),
+                 ("lattice", target)):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, *argv, "--budget", "1000")
+        took = time.perf_counter() - t0
+        allowed = {0, 3}
+        if argv[0] == "lattice" and target in NON_THIN:
+            allowed = {2}
+        assert rc in allowed, (argv, rc, err)
+        assert took < 10, (argv, took)
+
+
+def test_verify_p5_small_budget_is_inconclusive(capsys):
+    rc, _, err = run(capsys, "verify-theorems", "--suite", "p5",
+                     "--budget", "1000")
+    assert rc == 3
+    assert err.startswith("inconclusive: ")

@@ -1,9 +1,15 @@
-"""The collector's public methods are the only way into a presentation.
+"""Layering rules, checked on the source.
 
-Every module of the engine other than pcgroup.py, and every script under
+The collector's public methods are the only way into a presentation:
+every module of the engine other than pcgroup.py, and every script under
 tools/, must do its arithmetic through PcPresentation's public methods;
 none may read an underscore attribute of a presentation or reach into
 its __dict__.
+
+The budget is one contract: only structure.check_budget resolves a
+budget and raises BudgetExceededError, only beauville.beauville turns
+it into a verdict, and only cli.main turns what escapes into an exit
+code.
 """
 
 import ast
@@ -12,10 +18,9 @@ from pathlib import Path
 from thinville.pcgroup import PcPresentation
 
 ROOT = Path(__file__).resolve().parent.parent
-GUARDED = sorted(
-    [f for f in (ROOT / "src" / "thinville").glob("*.py")
-     if f.name != "pcgroup.py"]
-    + list((ROOT / "tools").glob("*.py")))
+ENGINE = sorted(list((ROOT / "src" / "thinville").glob("*.py"))
+                + list((ROOT / "tools").glob("*.py")))
+GUARDED = [f for f in ENGINE if f.name != "pcgroup.py"]
 
 
 def _private_presentation_names():
@@ -40,3 +45,49 @@ def test_no_private_reach_ins():
                 hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
                             f".{node.attr}")
     assert not hits, "private collector access:\n" + "\n".join(hits)
+
+
+def _in_functions(tree):
+    """(node, name of the innermost enclosing function) for every node."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            yield child, inner
+            yield from walk(child, inner)
+    return walk(tree, None)
+
+
+def _names(node):
+    if node is None:
+        return set()
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_one_budget_contract():
+    gate = ("structure.py", "check_budget")
+    verdict_points = {("beauville.py", "beauville"), ("cli.py", "main")}
+    hits = []
+    for path in ENGINE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, owner in _in_functions(tree):
+            where = (path.name, owner)
+            if isinstance(node, ast.Raise) and \
+                    "BudgetExceededError" in _names(node.exc) and \
+                    where != gate:
+                kind = "raise"
+            elif isinstance(node, ast.ExceptHandler) and \
+                    "BudgetExceededError" in _names(node.type) and \
+                    where not in verdict_points:
+                kind = "except"
+            elif isinstance(node, ast.Call) and \
+                    "get_budget" in _names(node.func) and where != gate:
+                kind = "get_budget call"
+            else:
+                continue
+            hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: {kind} "
+                        f"in {owner or 'module level'}")
+    assert not hits, "budget handled outside the contract:\n" + \
+        "\n".join(hits)
