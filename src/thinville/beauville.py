@@ -21,6 +21,7 @@ from itertools import combinations
 
 from .structure import (
     BudgetExceededError,
+    _coset_sweep,
     _left_nullspace,
     _projective_points,
     agemo,
@@ -38,6 +39,7 @@ from .structure import (
     maximal_has_exponent_p,
     maximal_subgroup_of,
     nilpotency_class,
+    whole_group,
 )
 
 
@@ -58,24 +60,24 @@ def socle_key(pres, a):
     return line_key(pres, pres.power(a, k // pres.p))
 
 
-def _socle_orbit(pres, key):
+def _socle_orbit(pres, key, budget=None):
     memo = pres.cache.setdefault("socle-orbits", {})
     if key in memo:
         return memo[key]
-    orbit = frozenset(conjugacy_orbit(pres, key, line_key))
+    orbit = frozenset(conjugacy_orbit(pres, key, line_key, budget))
     for v in orbit:
         memo[v] = orbit
     return orbit
 
 
-def triple_fingerprint(pres, x, y):
+def triple_fingerprint(pres, x, y, budget=None):
     """Conjugacy-closed socle lines of x, y, and xy."""
     out = set()
     for m in (x, y, pres.multiply(x, y)):
         key = socle_key(pres, m)
         if key is None:
             raise ValueError("trivial member in a generating pair")
-        out |= _socle_orbit(pres, key)
+        out |= _socle_orbit(pres, key, budget)
     return frozenset(out)
 
 
@@ -129,14 +131,14 @@ class BeauvilleVerdict:
     detail: str = ""
 
 
-def verify_beauville_structure(pres, pair1, pair2):
+def verify_beauville_structure(pres, pair1, pair2, budget=None):
     """(certificate, detail). Recomputes everything; certificate is
     None with a reason when the pairs fail."""
     for x, y in (pair1, pair2):
         if not generates(pres, x, y):
             return None, "a pair does not generate"
-    f1 = triple_fingerprint(pres, *pair1)
-    f2 = triple_fingerprint(pres, *pair2)
+    f1 = triple_fingerprint(pres, *pair1, budget)
+    f2 = triple_fingerprint(pres, *pair2, budget)
     if not f1.isdisjoint(f2):
         return None, "conjugate cyclic subgroups meet"
     return BeauvilleCertificate(pair1, pair2, f1, f2), "verified"
@@ -146,11 +148,12 @@ def verify_beauville_structure(pres, pair1, pair2):
 # exhaustive search
 
 def outside_frattini(pres):
-    """(the elements outside the Frattini subgroup in lexicographic
-    order, the projection onto the Frattini quotient)."""
+    """The elements outside the Frattini subgroup, in lexicographic
+    order, each mapped to its image in the Frattini quotient."""
     quotient, project, lift = frattini_quotient(pres)
     zero = (0,) * quotient.n
-    return [v for v in pres.elements() if project(v) != zero], project
+    images = ((v, project(v)) for v in pres.elements())
+    return {v: d for v, d in images if d != zero}
 
 
 def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
@@ -170,18 +173,17 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     least = pool_size * (pool_size // derived_subgroup(pres).order)
     check_budget(least, budget,
                  "exhaustive search needs at least {} pair evaluations")
-    pool, project = outside_frattini(pres)
-    reps = conjugacy_class_reps(pres, pool)
+    pool = outside_frattini(pres)
+    reps = conjugacy_class_reps(pres, pool, budget)
     check_budget(len(reps) * len(pool), budget,
                  "exhaustive search needs {} pair evaluations")
     socle_memo = {v: socle_key(pres, v) for v in pool}
     seen_triples = set()
     fingerprints = {}
     for x in reps:
-        px = project(x)
+        px = pool[x]
         sx = socle_memo[x]
-        for y in pool:
-            py = project(y)
+        for y, py in pool.items():
             if (px[0] * py[1] - px[1] * py[0]) % pres.p == 0:
                 continue
             # x and y are independent modulo the Frattini subgroup, so
@@ -191,12 +193,13 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
             if triple in seen_triples:
                 continue
             seen_triples.add(triple)
-            fp = frozenset().union(*(_socle_orbit(pres, s) for s in triple))
+            fp = frozenset().union(*(_socle_orbit(pres, s, budget)
+                                     for s in triple))
             if fp not in fingerprints:
                 fingerprints[fp] = (x, y)
     for (f1, p1), (f2, p2) in combinations(fingerprints.items(), 2):
         if f1.isdisjoint(f2):
-            cert, detail = verify_beauville_structure(pres, p1, p2)
+            cert, detail = verify_beauville_structure(pres, p1, p2, budget)
             if cert is None:
                 raise AssertionError(
                     "disjoint fingerprints failed re-verification: " + detail)
@@ -221,18 +224,19 @@ def omega_negative_test(pres, budget=None) -> OmegaReport:
     """No Beauville structure exists when the power subgroup has order
     p and the order-p elements fall inside two maximal subgroups.
 
-    The scan works with the set of order-p elements directly; elements
-    of the Frattini subgroup lie in every maximal subgroup and are
-    ignored.
+    Elements of the Frattini subgroup lie in every maximal subgroup and
+    are ignored.  The scan reads one representative per coset of the
+    Hall-Petrescu term N of structure._coset_sweep: N lies in the
+    Frattini subgroup, so a coset has one direction, and one element
+    order unless it is N itself.
     """
     if agemo(pres, budget).order != pres.p:
         return OmegaReport(False, False, (),
                            "power subgroup does not have order p")
-    check_budget(pres.order, budget, "order-p element scan needs {} elements")
     quotient, project, lift = frattini_quotient(pres)
-    directions = {_direction_of(pres, project, v) for v in pres.elements()
-                  if v != pres.identity
-                  and pres.power(v, pres.p) == pres.identity}
+    _, reps = _coset_sweep(pres, whole_group(pres), budget)
+    directions = {_direction_of(pres, project, r) for r in reps
+                  if pres.power(r, pres.p) == pres.identity}
     directions.discard(None)
     dirs = tuple(sorted(directions))
     refuted = len(dirs) <= 2
@@ -350,7 +354,7 @@ def _pair_for_directions(pres, lift, d1, d2, d3):
     return pres.power(lift(d1), c1), pres.power(lift(d2), c2)
 
 
-def _guided_candidates(pres, cls):
+def _guided_candidates(pres, cls, budget=None):
     """Candidate structure streams per positive case. Verification is
     the caller's job; these only have to be plausible and cheap.
 
@@ -370,7 +374,7 @@ def _guided_candidates(pres, cls):
         # triple anywhere disjoint from it
         first = [d for d in dirs
                  if maximal_has_exponent_p(
-                     pres, maximal_subgroup_of(pres, lift(d))[0])]
+                     pres, maximal_subgroup_of(pres, lift(d))[0], budget)]
     parts = []
     for t1 in combinations(first, 3):
         rest = [d for d in dirs if d not in t1]
@@ -412,11 +416,12 @@ def guided_beauville(pres, budget=None) -> BeauvilleVerdict:
             "two or fewer exponent-p maximal subgroups but the order-p "
             "scan did not confirm; " + report.detail)
     tried = 0
-    for pair1, pair2 in _guided_candidates(pres, cls):
+    for pair1, pair2 in _guided_candidates(pres, cls, budget):
         tried += 1
         if tried > 400:
             break
-        cert, detail = verify_beauville_structure(pres, pair1, pair2)
+        cert, detail = verify_beauville_structure(pres, pair1, pair2,
+                                                  budget)
         if cert is not None:
             return BeauvilleVerdict(
                 "found", f"guided-{cls.case_label}", cert)
@@ -430,7 +435,8 @@ def guided_beauville(pres, budget=None) -> BeauvilleVerdict:
                            derived.random_element(rng))
         y2 = pres.multiply(lift((1, rng.randrange(2, pres.p))),
                            derived.random_element(rng))
-        cert, detail = verify_beauville_structure(pres, (x, y), (x2, y2))
+        cert, detail = verify_beauville_structure(pres, (x, y), (x2, y2),
+                                                  budget)
         if cert is not None:
             return BeauvilleVerdict(
                 "found", f"guided-{cls.case_label}-random", cert)

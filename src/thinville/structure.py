@@ -9,12 +9,21 @@ closure) run a queue that keeps the product set closed under p-th
 powers, commutators, and, for normal closures, conjugation by the
 presentation generators.
 
-The enumerating operations (agemo, omega, exponent, the thinness
-sieve, brute lattice walks) respect an element budget, settable per call
-or through the THINVILLE_BUDGET environment variable.  They all go
-through one gate, check_budget, which compares the count a phase needs
-with the budget before the phase starts and raises BudgetExceededError
-rather than letting it return a partial answer.
+Every p-th power question (agemo, omega1, exponent and so the
+exponent-p maximal subgroups, and the omega criterion's order-p scan)
+reads one sweep, _coset_sweep, over a transversal of the subgroup
+modulo a normal subgroup N.  The sweep rests on the Hall-Petrescu
+formula (P. Hall, Proc. LMS 36, 1934), in the one form used here:
+
+    if N is normal of exponent p and [N, _{p-1} G] = 1, then
+    (xn)^p = x^p for every x in G and n in N.
+
+The enumerating operations (that sweep, conjugacy orbits, the thinness
+sieve, brute oracles and lattice walks) respect an element budget,
+settable per call or through the THINVILLE_BUDGET environment variable.
+They all go through one gate, check_budget, which compares the count a
+phase needs with the budget before the phase starts and raises
+BudgetExceededError rather than letting it return a partial answer.
 """
 
 from __future__ import annotations
@@ -78,6 +87,30 @@ def _basis_product(pres, basis, exps):
     return v
 
 
+def _products(pres, basis):
+    """Every product basis[0]^e_0 * basis[1]^e_1 * ... with exponents in
+    [0, p), in lexicographic order of the exponents."""
+    if not basis:
+        yield pres.identity
+        return
+    # odometer with a prefix-product stack: one multiply per element
+    k = len(basis)
+    exps = [0] * k
+    prefix = [pres.identity] * (k + 1)
+    while True:
+        yield prefix[k]
+        i = k - 1
+        while i >= 0 and exps[i] == pres.p - 1:
+            exps[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        exps[i] += 1
+        prefix[i + 1] = pres.multiply(prefix[i + 1], basis[i])
+        for j in range(i + 1, k):
+            prefix[j + 1] = prefix[j]
+
+
 # ----------------------------------------------------------------------
 # echelonized subgroups
 
@@ -118,26 +151,7 @@ class Subgroup:
 
     def elements(self):
         """Every member, as products of basis powers (lexicographic)."""
-        P = self.pres
-        if not self.basis:
-            yield P.identity
-            return
-        # odometer with a prefix-product stack: one multiply per element
-        k = len(self.basis)
-        exps = [0] * k
-        prefix = [P.identity] * (k + 1)
-        while True:
-            yield prefix[k]
-            i = k - 1
-            while i >= 0 and exps[i] == P.p - 1:
-                exps[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            exps[i] += 1
-            prefix[i + 1] = P.multiply(prefix[i + 1], self.basis[i])
-            for j in range(i + 1, k):
-                prefix[j + 1] = prefix[j]
+        return _products(self.pres, self.basis)
 
     def random_element(self, rng):
         exps = [rng.randrange(self.pres.p) for _ in self.basis]
@@ -240,11 +254,18 @@ def is_cyclic_subgroup(pres, sub) -> bool:
 # ----------------------------------------------------------------------
 # conjugacy
 
-def conjugacy_orbit(pres, v, label=None):
+def conjugacy_orbit(pres, v, label=None, budget=None):
     """Everything reached from v by repeated conjugation with the
     generators: the conjugacy class of v.  With a label map each
     conjugate w is replaced by label(pres, w) before it is followed, so
-    the orbit is one of labels, and v must be a label itself."""
+    the orbit is one of labels, and v must be a label itself.
+
+    The presentation refines a central series, so with l the leading
+    index of v every conjugate of v lies in v<g_{l+1}, ..., g_n> (and so
+    does every label of beauville.line_key); the budget is checked on
+    that coset's size, p^(n-l), before the search starts."""
+    check_budget(pres.p ** (pres.n - (_leading(v) or pres.n)), budget,
+                 "conjugacy orbit search needs up to {} elements")
     gens = pres.gens()
     seen = {v}
     queue = [v]
@@ -260,7 +281,7 @@ def conjugacy_orbit(pres, v, label=None):
     return seen
 
 
-def conjugacy_class_reps(pres, pool):
+def conjugacy_class_reps(pres, pool, budget=None):
     """The first member of pool from each conjugacy class meeting it,
     in pool order."""
     seen = set()
@@ -268,12 +289,12 @@ def conjugacy_class_reps(pres, pool):
     for v in pool:
         if v not in seen:
             reps.append(v)
-            seen |= conjugacy_orbit(pres, v)
+            seen |= conjugacy_orbit(pres, v, budget=budget)
     return reps
 
 
 # ----------------------------------------------------------------------
-# cosets, quotient and subgroup presentations
+# cosets and quotient presentations
 
 def canonical_coset_rep(pres, sub, vec):
     """The unique element of vec*sub with zeros at the basis leads."""
@@ -283,29 +304,6 @@ def canonical_coset_rep(pres, sub, vec):
         if e:
             vec = pres.multiply(vec, pres.power(b, pres.p - e))
     return vec
-
-
-def _presentation_on(pres, images, coords, what):
-    """Presentation on the listed elements of pres, in order, whose
-    relators are read through coords (an element's exponent vector in
-    the new generators)."""
-    k = len(images)
-
-    def to_word(vec, above):
-        word = [(i, e) for i, e in enumerate(coords(vec), start=1) if e]
-        if word and word[0][0] <= above:
-            raise AssertionError(f"{what} relator fell below its base")
-        return word
-
-    powers = {i: to_word(pres.power(images[i - 1], pres.p), i)
-              for i in range(1, k + 1)}
-    commutators = {
-        (j, i): to_word(pres.commutator(images[j - 1], images[i - 1]), j)
-        for j in range(2, k + 1) for i in range(1, j)}
-    out = PcPresentation(pres.p, k, powers, commutators)
-    if not out.is_consistent():
-        raise AssertionError(f"derived {what} presentation is inconsistent")
-    return out
 
 
 def quotient_presentation(pres, sub):
@@ -330,37 +328,24 @@ def quotient_presentation(pres, sub):
             out[g - 1] = qvec[a]
         return tuple(out)
 
-    quotient = _presentation_on(
-        pres, [pres.gen(g) for g in kept], project, "quotient")
+    def to_word(vec, above):
+        word = [(a, e) for a, e in enumerate(project(vec), start=1) if e]
+        if word and word[0][0] <= above:
+            raise AssertionError("quotient relator fell below its base")
+        return word
+
+    gens = [pres.gen(g) for g in kept]
+    k = len(kept)
+    powers = {a: to_word(pres.power(gens[a - 1], pres.p), a)
+              for a in range(1, k + 1)}
+    commutators = {
+        (b, a): to_word(pres.commutator(gens[b - 1], gens[a - 1]), b)
+        for b in range(2, k + 1) for a in range(1, b)}
+    quotient = PcPresentation(pres.p, k, powers, commutators)
+    if not quotient.is_consistent():
+        raise AssertionError("derived quotient presentation is inconsistent")
     cache[key] = (quotient, project, lift)
     return cache[key]
-
-
-def subgroup_presentation(pres, sub):
-    """Presentation of a subgroup on its own basis, with an embedding map."""
-    basis = sub.basis
-    if not basis:
-        raise ValueError("the trivial subgroup has no generators to present")
-    k = len(basis)
-    lead_index = {l: i for i, l in enumerate(sub.leads)}
-
-    def express(u):
-        coeffs = [0] * k
-        while u != pres.identity:
-            l = _leading(u)
-            i = lead_index.get(l)
-            if i is None:
-                raise AssertionError("element left the subgroup while sifting")
-            coeffs[i] = u[l - 1]
-            u = pres.multiply(pres.power(basis[i], -coeffs[i]), u)
-        return coeffs
-
-    inside = _presentation_on(pres, basis, express, "subgroup")
-
-    def embed(svec):
-        return _basis_product(pres, basis, svec)
-
-    return inside, embed
 
 
 # ----------------------------------------------------------------------
@@ -504,39 +489,49 @@ def frattini_quotient(pres):
     return quotient_presentation(pres, frattini(pres))
 
 
-def agemo(pres, budget=None) -> Subgroup:
-    """The subgroup generated by all p-th powers.
+def _coset_sweep(pres, sub, budget):
+    """(N, a transversal of sub modulo N): the one sweep behind every
+    p-th power question (agemo, omega1, exponent, the exponent-p
+    maximals and the order-p scan of the omega criterion).
 
-    Seeds a normal closure with generator powers, then certifies it by
-    checking that the quotient has exponent p, enlarging on any failure.
-    The certificate makes the seed choice irrelevant to the answer.
-    """
+    N is the largest lower central term gamma_k with
+    k >= max(2, c - p + 2) that lies in sub, is abelian and has a basis
+    of order-p elements (the trivial group when no other term does).
+    So N has exponent p and [N, _{p-1} G] = gamma_{k+p-1} = 1, and by
+    Hall-Petrescu (xn)^p = x^p for every x in G and n in N: the p-th
+    power is constant on each coset of N, and so is the element order
+    on each coset other than N itself.  The transversal is the products
+    of the basis elements of sub whose leads are not leads of N; the
+    budget is checked once, on |sub : N|."""
     cache = pres.cache
-    if "agemo" in cache:
-        return cache["agemo"]
-    p = pres.p
-    gens = pres.gens()
-    seeds = [pres.power(g, p) for g in gens]
-    for i in range(pres.n):
-        for j in range(i + 1, pres.n):
-            seeds.append(pres.power(pres.multiply(gens[i], gens[j]), p))
-    W = normal_closure(pres, seeds)
-    while True:
-        if W.log_order == pres.n:
-            break
-        quotient, project, lift = quotient_presentation(pres, W)
-        check_budget(quotient.order, budget,
-                     "certifying the agemo needs a sweep over {} cosets")
-        bad = None
-        for q in quotient.elements():
-            if quotient.power(q, p) != quotient.identity:
-                bad = q
-                break
-        if bad is None:
-            break
-        W = normal_closure(pres, list(W.basis) + [pres.power(lift(bad), p)])
-    cache["agemo"] = W
-    return W
+    if "power-kernel-start" not in cache:
+        # sub aside, the terms that qualify are the gamma_k from some k on
+        k = max(2, nilpotency_class(pres) - pres.p + 2)
+        while not (is_abelian_subgroup(pres, gamma(pres, k)) and all(
+                pres.power(b, pres.p) == pres.identity
+                for b in gamma(pres, k).basis)):
+            k += 1
+        cache["power-kernel-start"] = k
+    k = cache["power-kernel-start"]
+    while not sub.contains_subgroup(gamma(pres, k)):
+        k += 1
+    N = gamma(pres, k)
+    check_budget(sub.order // N.order, budget,
+                 "p-th power sweep needs {} cosets")
+    leads = set(N.leads)
+    return N, _products(pres, [b for b in sub.basis
+                               if _leading(b) not in leads])
+
+
+def agemo(pres, budget=None) -> Subgroup:
+    """The subgroup generated by all p-th powers: by the p-th powers of
+    one transversal modulo the Hall-Petrescu term of _coset_sweep."""
+    cache = pres.cache
+    if "agemo" not in cache:
+        _, reps = _coset_sweep(pres, whole_group(pres), budget)
+        cache["agemo"] = generated_subgroup(
+            pres, {pres.power(r, pres.p) for r in reps})
+    return cache["agemo"]
 
 
 def agemo_brute(pres, budget=None) -> Subgroup:
@@ -547,21 +542,26 @@ def agemo_brute(pres, budget=None) -> Subgroup:
 
 
 def omega1(pres, budget=None) -> Subgroup:
-    """Subgroup generated by the elements of order dividing p."""
-    check_budget(pres.order, budget, "omega sweep needs {} elements")
-    gens = [v for v in pres.elements() if pres.power(v, pres.p) == pres.identity]
-    return generated_subgroup(pres, gens)
+    """Subgroup generated by the elements of order dividing p: the
+    Hall-Petrescu term N of _coset_sweep (exponent p) and the
+    representatives of the cosets of N whose p-th power is trivial."""
+    N, reps = _coset_sweep(pres, whole_group(pres), budget)
+    return generated_subgroup(pres, list(N.basis) + [
+        r for r in reps if pres.power(r, pres.p) == pres.identity])
 
 
 def exponent(pres, sub, budget=None) -> int:
-    """Largest element order in the subgroup."""
+    """Largest element order in the subgroup: read off the basis when
+    the subgroup is abelian, else the largest order among the
+    representatives of _coset_sweep, and at least p when its N is
+    nontrivial."""
     if sub.log_order == 0:
         return 1
     if is_abelian_subgroup(pres, sub):
         return max(pres.element_order(b) for b in sub.basis)
-    check_budget(sub.order, budget, "exponent sweep needs {} elements")
-    inside, _ = subgroup_presentation(pres, sub)
-    return max(inside.element_order(v) for v in inside.elements())
+    N, reps = _coset_sweep(pres, sub, budget)
+    return max(max(pres.element_order(r) for r in reps),
+               pres.p if N.log_order else 1)
 
 
 def maximal_subgroups(pres):
@@ -936,41 +936,4 @@ def exponent_p_maximal_count(pres, budget=None) -> int:
 
 
 def maximal_has_exponent_p(pres, sub, budget=None) -> bool:
-    fast = _maximal_exponent_p_fast(pres, sub)
-    if fast is not None:
-        return fast
     return exponent(pres, sub, budget) == pres.p
-
-
-def _maximal_exponent_p_fast(pres, sub):
-    """Exact shortcut for metabelian groups of class at most p+1 whose
-    third lower central term has exponent p: every power expansion
-    correction dies except the deepest left-normed commutator, so one
-    coset representative decides the whole maximal subgroup.  Returns
-    None when its guards fail."""
-    p = pres.p
-    if not is_metabelian(pres):
-        return None
-    c = nilpotency_class(pres)
-    if c > p + 1:
-        return None
-    quotient, project, lift = frattini_quotient(pres)
-    if quotient.n != 2:
-        return None
-    derived = derived_subgroup(pres)
-    if derived != frattini(pres):
-        # coset representatives modulo the derived subgroup would not be
-        # powers of a single element, so the shortcut does not apply
-        return None
-    g3 = gamma(pres, 3)
-    if g3.log_order and exponent(pres, g3) > p:
-        return None
-    if exponent(pres, derived) > p:
-        return False
-    rep = next(b for b in sub.basis if project(b) != (0, 0))
-    if pres.power(rep, p) != pres.identity:
-        return False
-    tail = [rep] * (p - 1)
-    return all(
-        pres.left_normed_commutator(b, tail) == pres.identity
-        for b in derived.basis)

@@ -228,18 +228,26 @@ def test_exhaustive_budget_gate_fires_before_enumerating():
 
 
 def test_guided_budget_is_inconclusive():
-    # the classification's agemo certificate needs 5^7 cosets
+    # the classification's agemo sweep needs 5^2 cosets
     pres = resolve("thin5-c5-A4neg").presentation
-    v = beauville(pres, mode="guided", budget=1000)
+    v = beauville(pres, mode="guided", budget=10)
     assert v.status == "inconclusive"
     assert v.method == "guided"
-    assert v.detail.endswith("budget is 1000")
+    assert v.detail.endswith("budget is 10")
+
+
+def test_guided_a4neg_refuted_within_small_budget():
+    # every p-th power sweep of the A4neg refutation covers 25 cosets
+    pres = resolve("thin5-c5-A4neg").presentation
+    v = beauville(pres, mode="guided", budget=1000)
+    assert v.status == "refuted"
+    assert v.method == "omega"
 
 
 def test_classification_honours_budget():
     pres = resolve("thin5-c5-A4pos").presentation
     with pytest.raises(BudgetExceededError):
-        classify_theorem_a(pres, budget=1000)
+        classify_theorem_a(pres, budget=10)
 
 
 def test_beauville_unknown_mode(h5):

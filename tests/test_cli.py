@@ -163,6 +163,20 @@ def test_small_budget_contract(capsys, target):
 
 def test_verify_p5_small_budget_is_inconclusive(capsys):
     rc, _, err = run(capsys, "verify-theorems", "--suite", "p5",
-                     "--budget", "1000")
+                     "--budget", "10")
     assert rc == 3
     assert err.startswith("inconclusive: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "thin5-c5-A1", "--guided", "--json"),
+    ("analyze", "thin5-c6-A2", "--guided", "--json"),
+    ("beauville", "thin5-c5-A4neg", "--guided"),
+])
+def test_p_th_power_reports_fit_default_budget(capsys, argv):
+    # the power subgroup and the order-p scan read a sweep over 25 to
+    # 125 cosets, not the whole group or its quotient by a seed closure
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    assert time.perf_counter() - t0 < 10

@@ -7,13 +7,17 @@ element. Echelon results must match them exactly.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from thinville.beauville import omega_negative_test
+from thinville.catalog import BUILTIN_IDS, data_entry_paths, resolve
 from thinville.pcgroup import PcPresentation
 from thinville.structure import (
     BudgetExceededError,
     Subgroup,
+    _coset_sweep,
     _left_nullspace,
     agemo,
     agemo_brute,
@@ -37,6 +41,7 @@ from thinville.structure import (
     lattice_nodes,
     lattice_profile,
     lower_central_series,
+    maximal_has_exponent_p,
     maximal_subgroups,
     nilpotency_class,
     normal_closure,
@@ -45,7 +50,6 @@ from thinville.structure import (
     profile_matches_shape_grammar,
     quotient_presentation,
     subgroup_join,
-    subgroup_presentation,
     trivial_subgroup,
     upper_central_series,
     verify_place_of_agemo,
@@ -53,6 +57,9 @@ from thinville.structure import (
 )
 
 from test_pc_core import UnitriangularModel
+
+CATALOG_TARGETS = list(BUILTIN_IDS) + [Path(p).stem
+                                       for p in data_entry_paths()]
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +134,10 @@ def brute_normal_closure(pres, gens):
                     grown.append(w)
         frontier = grown
     return brute_span(pres, orbit)
+
+
+def brute_exponent(pres, sub):
+    return max(pres.element_order(v) for v in sub.elements())
 
 
 def brute_center(pres):
@@ -262,7 +273,7 @@ def test_center_frozen(h5, ut43):
 
 
 # ----------------------------------------------------------------------
-# quotients and subgroup presentations
+# quotient presentations
 
 def test_quotient_of_h5_by_center(h5):
     quotient, project, lift = quotient_presentation(h5, center(h5))
@@ -297,24 +308,6 @@ def test_quotient_of_ut43(ut43):
         b = tuple(rng.randrange(3) for _ in range(6))
         assert project(ut43.multiply(a, b)) \
             == quotient.multiply(project(a), project(b))
-
-
-def test_subgroup_presentation_h5_maximal(h5):
-    sub = maximal_subgroups(h5)[0]
-    inside, embed = subgroup_presentation(h5, sub)
-    assert inside.order == 25
-    assert inside.is_consistent()
-    rng = random.Random(13)
-    for _ in range(30):
-        a = tuple(rng.randrange(5) for _ in range(2))
-        b = tuple(rng.randrange(5) for _ in range(2))
-        assert embed(inside.multiply(a, b)) \
-            == h5.multiply(embed(a), embed(b))
-
-
-def test_subgroup_presentation_trivial_rejected(h5):
-    with pytest.raises(ValueError):
-        subgroup_presentation(h5, trivial_subgroup(h5))
 
 
 # ----------------------------------------------------------------------
@@ -413,8 +406,92 @@ def test_exponent_p_maximal_count(h5, m27, c25c25, c5c5):
 def test_exponent_p_count_agrees_with_enumeration(h5, m27, c25c25):
     for pres in (h5, m27, c25c25):
         want = sum(1 for m in maximal_subgroups(pres)
-                   if exponent(pres, m) == pres.p)
+                   if brute_exponent(pres, m) == pres.p)
         assert exponent_p_maximal_count(pres) == want
+
+
+# ----------------------------------------------------------------------
+# the p-th power sweep against whole-group scans
+
+# every catalog target but the thin 5-groups: order at most 3^6, and 5^4
+SMALL_TARGETS = [t for t in CATALOG_TARGETS if not t.startswith("thin5-")]
+FIXTURE_GROUPS = ["h5", "m27", "c25c25", "ut43", "ut53"]
+
+
+def _group(request, name):
+    if name in FIXTURE_GROUPS:
+        return request.getfixturevalue(name)
+    return resolve(name).presentation
+
+
+def brute_power_table(pres):
+    """Every element mapped to its p-th power."""
+    return {v: pres.power(v, pres.p) for v in pres.elements()}
+
+
+def brute_order(pres, table, v):
+    """Element order, read by iterating the p-th power table."""
+    order = 1
+    while v != pres.identity:
+        v = table[v]
+        order *= pres.p
+    return order
+
+
+def brute_directions(pres, table):
+    """Normalized Frattini-quotient directions of the order-p elements."""
+    quotient, project, lift = frattini_quotient(pres)
+    out = set()
+    for v, q in table.items():
+        d = project(v)
+        if any(d) and q == pres.identity:
+            inv = pow(next(e for e in d if e), -1, pres.p)
+            out.add(tuple(e * inv % pres.p for e in d))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("name", SMALL_TARGETS + FIXTURE_GROUPS)
+def test_power_sweep_matches_brute_force(request, name):
+    pres = _group(request, name)
+    p, one = pres.p, pres.identity
+    brute_agemo = agemo_brute(pres)
+    assert agemo(pres) == brute_agemo
+    table = brute_power_table(pres)
+    assert omega1(pres) == generated_subgroup(
+        pres, [v for v, q in table.items() if q == one])
+    assert exponent(pres, whole_group(pres)) == \
+        max(brute_order(pres, table, v) for v in table)
+    for m in maximal_subgroups(pres):
+        assert maximal_has_exponent_p(pres, m) == \
+            all(table[v] == one for v in m.elements())
+    report = omega_negative_test(pres)
+    assert report.applies == (brute_agemo.order == p)
+    if report.applies:
+        assert report.directions == brute_directions(pres, table)
+
+
+@pytest.mark.parametrize("name", CATALOG_TARGETS)
+def test_sweep_kernel_satisfies_hall_petrescu(name):
+    pres = resolve(name).presentation
+    p = pres.p
+    whole = whole_group(pres)
+    N, reps = _coset_sweep(pres, whole, None)
+    reps = list(reps)
+    assert len(reps) == whole.order // N.order
+    assert len({canonical_coset_rep(pres, N, r) for r in reps}) == len(reps)
+    rng = random.Random(41)
+    assert all(pres.power(N.random_element(rng), p) == pres.identity
+               for _ in range(20))
+    # [N, _{p-1} G] = 1, spread from commutators with the generators
+    spread = N
+    for _ in range(p - 1):
+        spread = normal_closure(pres, [pres.commutator(b, g)
+                                       for b in spread.basis
+                                       for g in pres.gens()])
+    assert spread.log_order == 0
+    for _ in range(20):
+        x, n = whole.random_element(rng), N.random_element(rng)
+        assert pres.power(pres.multiply(x, n), p) == pres.power(x, p)
 
 
 # ----------------------------------------------------------------------

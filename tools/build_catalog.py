@@ -394,13 +394,12 @@ def template_tuple(pres):
 
 def has_pair_with_tuple(pres, target_tuple):
     rebuild = rebuild_rank5 if pres.n == 5 else rebuild_rank6
-    pool, project = outside_frattini(pres)
+    pool = outside_frattini(pres)
     reps = conjugacy_class_reps(pres, pool)
     p = pres.p
     for a in reps:
-        pa = project(a)
-        for b in pool:
-            pb = project(b)
+        pa = pool[a]
+        for b, pb in pool.items():
             if (pa[0] * pb[1] - pa[1] * pb[0]) % p == 0:
                 continue
             if rebuild(pres, a, b) == target_tuple:

@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Fingerprint the command line output on the whole catalog.
+
+Runs a fixed list of 112 `thinville` commands in one process through
+`thinville.cli.main`, at the default budget, and prints one line per
+command:
+
+    <exit code> <sha256 of stdout> <sha256 of stderr> <argv>
+
+The engine is imported from PYTHONPATH, so the same script fingerprints
+any checkout; "same behaviour" between two checkouts is then a plain
+diff of the two outputs:
+
+    PYTHONPATH=src python3 tools/cli_snapshot.py > after.txt
+    PYTHONPATH=<other checkout>/src python3 tools/cli_snapshot.py > before.txt
+    diff before.txt after.txt
+
+The list: `beauville --exhaustive` and `analyze` on the p = 3 entries
+and the builtins; `beauville --guided` and `analyze --guided --json` on
+the p = 5 entries; `beauville --exhaustive` on thin5-c5-A1 and
+thin5-c6-A2; `lattice` and `lattice --dot` on every target; and
+`verify-theorems --suite p3` and `--suite p5`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from thinville.catalog import BUILTIN_IDS, data_entry_paths
+from thinville.cli import main
+
+
+def commands():
+    entries = [Path(p).stem for p in data_entry_paths()]
+    p3 = [e for e in entries if e.startswith(("sg-3_", "thin3"))]
+    p5 = [e for e in entries if e.startswith("thin5-")]
+    out = []
+    for target in p3 + list(BUILTIN_IDS):
+        out.append(["beauville", target, "--exhaustive"])
+        out.append(["analyze", target])
+    for target in p5:
+        out.append(["beauville", target, "--guided"])
+        out.append(["analyze", target, "--guided", "--json"])
+    for target in ("thin5-c5-A1", "thin5-c6-A2"):
+        out.append(["beauville", target, "--exhaustive"])
+    for target in list(BUILTIN_IDS) + entries:
+        out.append(["lattice", target])
+        out.append(["lattice", target, "--dot"])
+    out.append(["verify-theorems", "--suite", "p3"])
+    out.append(["verify-theorems", "--suite", "p5"])
+    return out
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def snapshot():
+    for argv in commands():
+        code, out, err = run(argv)
+        print(code, digest(out), digest(err), " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    sys.exit(snapshot())
