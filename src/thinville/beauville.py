@@ -39,6 +39,7 @@ from .structure import (
     maximal_has_exponent_p,
     maximal_subgroup_of,
     nilpotency_class,
+    quotient_presentation,
     whole_group,
 )
 
@@ -47,17 +48,26 @@ from .structure import (
 # socle lines and fingerprints
 
 def line_key(pres, v):
-    """Canonical label of the order-p subgroup generated by v."""
-    return min(pres.power(v, s) for s in range(1, pres.p))
+    """Canonical label of the order-p subgroup generated by v: the least
+    of v, v^2, ..., v^(p-1)."""
+    best = w = v
+    for _ in range(pres.p - 2):
+        w = pres.multiply(w, v)
+        best = min(best, w)
+    return best
 
 
 def socle_key(pres, a):
     """Label of the unique order-p subgroup of a nontrivial cyclic
-    subgroup; None for the identity."""
-    k = pres.element_order(a)
-    if k == 1:
+    subgroup: the last nontrivial term of a, a^p, a^(p^2), ...; None
+    for the identity."""
+    if a == pres.identity:
         return None
-    return line_key(pres, pres.power(a, k // pres.p))
+    while True:
+        b = pres.power(a, pres.p)
+        if b == pres.identity:
+            return line_key(pres, a)
+        a = b
 
 
 def _socle_orbit(pres, key, budget=None):
@@ -156,6 +166,18 @@ def outside_frattini(pres):
     return {v: d for v, d in images if d != zero}
 
 
+def _class_count_bound(pres, budget=None):
+    """A lower bound on the number of conjugacy classes outside the
+    Frattini subgroup: the count for Q = G/gamma_4.  As gamma_4 lies in
+    the Frattini subgroup, every class of G outside it maps onto a class
+    of Q outside the Frattini subgroup of Q, and every such class of Q
+    is the image of one.  Q is small: |Q| <= p^5 for a thin group."""
+    quotient = quotient_presentation(pres, gamma(pres, 4))[0]
+    check_budget(quotient.order, budget, "class count bound needs {} elements")
+    return len(conjugacy_class_reps(quotient, outside_frattini(quotient),
+                                    budget))
+
+
 def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     """Enumerate every generating pair up to conjugacy of the first
     member, collect the distinct fingerprints, and look for a disjoint
@@ -171,8 +193,11 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     # the class count is at least their number
     pool_size = pres.order - pres.order // pres.p ** 2
     least = pool_size * (pool_size // derived_subgroup(pres).order)
-    check_budget(least, budget,
-                 "exhaustive search needs at least {} pair evaluations")
+    limit = check_budget(least, budget,
+                         "exhaustive search needs at least {} pair evaluations")
+    if pool_size * pool_size > limit:
+        check_budget(_class_count_bound(pres, budget) * pool_size, budget,
+                     "exhaustive search needs at least {} pair evaluations")
     pool = outside_frattini(pres)
     reps = conjugacy_class_reps(pres, pool, budget)
     check_budget(len(reps) * len(pool), budget,

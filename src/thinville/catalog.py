@@ -134,7 +134,7 @@ def _parse_expects(text):
     return out
 
 
-def _structural_value(pres, key):
+def _structural_value(pres, key, budget=None):
     if key == "order":
         return pres.order
     if key == "class":
@@ -146,23 +146,24 @@ def _structural_value(pres, key):
     if key == "maximal_class":
         return is_maximal_class(pres)
     if key == "thin":
-        return bool(is_thin(pres).thin)
+        return bool(is_thin(pres, budget).thin)
     raise AssertionError(key)
 
 
-def check_structural_expects(entry: CatalogEntry):
-    """Recompute every non-search expectation; raise on mismatch."""
+def check_structural_expects(entry: CatalogEntry, budget=None):
+    """Recompute every non-search expectation; raise on mismatch.  The
+    budget reaches the thinness test."""
     for key, want in sorted(entry.expects.items()):
         if key == "beauville":
             continue
-        got = _structural_value(entry.presentation, key)
+        got = _structural_value(entry.presentation, key, budget)
         if got != want:
             raise CatalogError(
                 f"{entry.id}: expected {key}={want}, presentation "
                 f"has {key}={got}")
 
 
-def ingest(path: str, check: bool = True) -> CatalogEntry:
+def ingest(path: str, check: bool = True, budget=None) -> CatalogEntry:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -190,7 +191,7 @@ def ingest(path: str, check: bool = True) -> CatalogEntry:
         stem = stem[:-3]
     entry = CatalogEntry(stem, path, provenance, expects, pres)
     if check:
-        check_structural_expects(entry)
+        check_structural_expects(entry, budget)
     return entry
 
 
@@ -202,33 +203,35 @@ def data_entry_paths():
     return sorted(str(f) for f in root.iterdir() if f.name.endswith(".pc"))
 
 
-def catalog_entries():
-    """All shipped entries: the builtin set, then the data files."""
+def catalog_entries(budget=None):
+    """All shipped entries: the builtin set, then the data files; the
+    budget reaches the load-time checks of the data files."""
     out = []
     for entry_id in BUILTIN_IDS:
         out.append(CatalogEntry(entry_id, "builtin", "builtin construction",
                                 {}, builtin(entry_id)))
     for path in data_entry_paths():
-        out.append(ingest(path))
+        out.append(ingest(path, budget=budget))
     return out
 
 
-def resolve(target: str) -> CatalogEntry:
-    """Find a target by builtin id, shipped-file id, or filesystem path."""
+def resolve(target: str, budget=None) -> CatalogEntry:
+    """Find a target by builtin id, shipped-file id, or filesystem path;
+    the budget reaches the load-time checks of an ingested file."""
     if is_builtin_id(target):
         return CatalogEntry(target, "builtin", "builtin construction",
                             {}, builtin(target))
     for path in data_entry_paths():
         stem = path.rsplit("/", 1)[-1][:-3]
         if stem == target:
-            return ingest(path)
+            return ingest(path, budget=budget)
     try:
         with open(target):
             pass
     except OSError:
         raise UnknownTargetError(
             f"unknown catalog target: {target!r}") from None
-    return ingest(target)
+    return ingest(target, budget=budget)
 
 
 # ----------------------------------------------------------------------

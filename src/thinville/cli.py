@@ -74,7 +74,7 @@ def _check_beauville_expect(entry, status):
 # analyze / beauville / lattice
 
 def cmd_analyze(args):
-    entry = resolve(args.target)
+    entry = resolve(args.target, args.budget)
     report = analyze(entry, mode=_search_mode(args), budget=args.budget)
     if args.json:
         print(json.dumps(report_kv(report)))
@@ -88,7 +88,7 @@ def cmd_analyze(args):
 
 
 def cmd_beauville(args):
-    entry = resolve(args.target)
+    entry = resolve(args.target, args.budget)
     pres = entry.presentation
     verdict = beauville(pres, mode=_search_mode(args), budget=args.budget)
     if args.json:
@@ -114,7 +114,7 @@ def cmd_beauville(args):
 
 
 def cmd_lattice(args):
-    entry = resolve(args.target)
+    entry = resolve(args.target, args.budget)
     pres = entry.presentation
     try:
         profile = lattice_profile(pres, args.budget)
@@ -214,7 +214,7 @@ def _suite_p3(budget):
     lines = []
     ok_all = True
     inconclusive = False
-    entries = [e for e in catalog_entries() if e.presentation.p == 3
+    entries = [e for e in catalog_entries(budget) if e.presentation.p == 3
                and e.source != "builtin"]
     found_ids = set()
     for entry in entries:
@@ -225,7 +225,7 @@ def _suite_p3(budget):
                                             f"({verdict.detail})"))
             inconclusive = True
             continue
-        thin = bool(is_thin(pres).thin)
+        thin = bool(is_thin(pres, budget).thin)
         meta = is_metabelian(pres)
         if verdict.status == "found":
             found_ids.add(entry.id)
@@ -238,7 +238,7 @@ def _suite_p3(budget):
                 f"(exhaustive)"))
     thin_beauville = {e.id for e in entries
                       if e.id in found_ids
-                      and bool(is_thin(e.presentation).thin)
+                      and bool(is_thin(e.presentation, budget).thin)
                       and is_metabelian(e.presentation)}
     want = {"sg-3_5-3", "sg-3_6-34", "sg-3_6-37"}
     ok = thin_beauville == want
@@ -250,7 +250,7 @@ def _suite_p3(budget):
     if "sg-3_6-40" in by_id:
         pres = by_id["sg-3_6-40"].presentation
         zc = center(pres).order
-        ok = (not is_thin(pres).thin) and zc == 9 \
+        ok = (not is_thin(pres, budget).thin) and zc == 9 \
             and "sg-3_6-40" in found_ids
         ok_all &= ok
         lines.append(_suite_line(
@@ -270,7 +270,7 @@ def _suite_p5(budget):
     lines = []
     ok_all = True
     inconclusive = False
-    entries = [e for e in catalog_entries() if e.presentation.p == 5
+    entries = [e for e in catalog_entries(budget) if e.presentation.p == 5
                and e.source != "builtin"]
     seen_cases = {}
     for entry in entries:

@@ -12,13 +12,13 @@ g_1^{e_1} ... g_n^{e_n}, stored as a plain exponent tuple with entries
 in [0, p), so the group has order p^n exactly when the presentation is
 consistent.
 
-Collection works from the left.  Right-multiplying a normal form by a
-generator power splits the form at that generator: the displaced tail
-is conjugated, and exponent overflow feeds the power relator back in.
-Both steps only ever touch strictly higher generator indices, which
-grounds the recursion.  Conjugates of generators by generator powers
-are memoized per presentation; tables are filled on first use and only
-read afterwards, so concurrent readers are safe once warmed up.
+Collection works from the left (Leedham-Green & Soicher, J. Symbolic
+Comput. 9, 1990) in one loop, `_run`, on one mutable exponent list and a
+stack of pending generator powers.  Multiplying by g_i^e zeroes the
+displaced tail and pushes its conjugates by g_i^e, then the power
+relator on overflow: words in higher generators only, which grounds the
+loop.  The conjugate powers (g_j^(g_i^r))^a live in rows keyed by integer
+arithmetic and filled by loops on first use, growing only as used.
 
 Deliberately inconsistent presentations are still safe to collect with:
 rewriting terminates regardless, and `check_consistency` reports which
@@ -85,6 +85,11 @@ def format_element(vec) -> str:
     return format_word([(i + 1, e) for i, e in enumerate(vec) if e])
 
 
+def _stacked(vec):
+    """Nonzero (0-based index, exponent) pairs of a normal form, last first."""
+    return [(j, vec[j]) for j in range(len(vec) - 1, -1, -1) if vec[j]]
+
+
 @dataclass
 class ConsistencyReport:
     consistent: bool
@@ -118,8 +123,8 @@ class PcPresentation:
         self._gens = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n))
         self._genidx = {g: i for i, g in enumerate(self._gens, start=1)}
-        self._conj = {}      # (j, i, r) -> normal form of g_j conjugated by g_i^r
-        self._conjpow = {}   # (j, i, r, e) -> that conjugate to the e-th power
+        self._pows = [_stacked(v) for v in self._powvec]
+        self._rows = {}     # i0 * p + r -> conjugate rows, see _conj_power
         self._geninv = [None] * n
         self._report = None
         self._checked = False    # set once the consistency check has passed
@@ -152,102 +157,96 @@ class PcPresentation:
     # ------------------------------------------------------------------
     # collection core (private paths never consult the consistency gate)
 
-    def _rmul(self, v, i, e):
-        # v * g_i^e for 0 <= e < p.  Coordinates below i are untouched;
-        # every recursive step works at a strictly higher index.
-        if e == 0:
-            return v
-        i0 = i - 1
-        s = v[i0] + e
-        tail = [(j0, v[j0]) for j0 in range(i0 + 1, self.n) if v[j0]]
-        out = list(v)
-        out[i0] = s % self.p
-        for j0, _ in tail:
-            out[j0] = 0
-        w = tuple(out)
-        if s >= self.p:
-            w = self._fold(w, self._powvec[i0])
-        for j0, a in tail:
-            w = self._fold(w, self._conj_gen_pow(j0 + 1, i, e, a))
-        return w
+    def _run(self, v, stack):
+        # v times the pending (0-based index, exponent) pairs, top first;
+        # v is updated in place and returned as a tuple
+        p, n, rows, pows = self.p, self.n, self._rows, self._pows
+        pop, push = stack.pop, stack.extend
+        top = n                                   # v[top:] is zero
+        while stack:
+            i0, e = pop()
+            if i0 + 1 < top:
+                conj = rows.get(i0 * p + e) or rows.setdefault(
+                    i0 * p + e, [None] * n)
+                for j0 in range(top - 1, i0, -1):
+                    a = v[j0]
+                    if a:
+                        v[j0] = 0
+                        try:
+                            push(conj[j0][a])
+                        except (TypeError, KeyError):
+                            push(self._conj_power(j0, i0, e, a))
+            top = i0 + 1
+            s = v[i0] + e
+            if s >= p:
+                v[i0] = s - p
+                push(pows[i0])
+            else:
+                v[i0] = s
+        return tuple(v)
+
+    def _conj_power(self, j0, i0, r, a):
+        # (g_j^(g_i^r))^a stacked, 0-based j0 > i0, 1 <= r, a < p.  Row
+        # i0 * p + r maps j0 to {a: that power} for the powers asked for:
+        # c_r = g_j^(g_i^r) is the product of the conjugates by g_i of the
+        # terms of c_(r-1), and c^a = c^(a-1) c.
+        p, n, rows = self.p, self.n, self._rows
+        for s in range(1, r + 1):
+            conj = rows.setdefault(i0 * p + s, [None] * n)
+            if conj[j0] is None:
+                if s == 1:                       # g_j [g_j, g_i]
+                    v = list(self._gens[j0])
+                    stack = _stacked(self._comvec.get((j0 + 1, i0 + 1), ()))
+                else:
+                    v, stack = [0] * n, []
+                    for j1, a1 in rows[i0 * p + s - 1][j0][1]:
+                        stack.extend(self._conj_power(j1, i0, 1, a1))
+                conj[j0] = {1: _stacked(self._run(v, stack))}
+        row = conj[j0]
+        if a not in row:    # c^a from the nearest lower power, c^b c ... c
+            b = max(k for k in row if k < a)
+            row[a] = _stacked(self._run([0] * n, row[1] * (a - b) + row[b]))
+        return row[a]
 
     def _fold(self, v, w):
         # v * (the element with normal form w)
-        for j0, e in enumerate(w):
-            if e:
-                v = self._rmul(v, j0 + 1, e)
-        return v
-
-    def _conj_gen(self, j, i, r):
-        # normal form of g_j conjugated by g_i^r, for j > i, r >= 1
-        key = (j, i, r)
-        got = self._conj.get(key)
-        if got is not None:
-            return got
-        if r == 1:
-            rel = self._comvec.get((j, i))
-            unit = self._gens[j - 1]
-            res = unit if rel is None else self._fold(unit, rel)
-        else:
-            prev = self._conj_gen(j, i, r - 1)
-            res = self.identity
-            for j0, a in enumerate(prev):
-                if a:
-                    res = self._fold(res, self._conj_gen_pow(j0 + 1, i, 1, a))
-        self._conj[key] = res
-        return res
-
-    def _conj_gen_pow(self, j, i, r, e):
-        if e == 1:
-            return self._conj_gen(j, i, r)
-        key = (j, i, r, e)
-        got = self._conjpow.get(key)
-        if got is not None:
-            return got
-        res = self._fold(self._conj_gen_pow(j, i, r, e - 1), self._conj_gen(j, i, r))
-        self._conjpow[key] = res
-        return res
+        return self._run(list(v), _stacked(w))
 
     def _collect(self, word):
-        v = self.identity
+        pending = []
         for idx, exp in word:
             if not 1 <= idx <= self.n:
                 raise ValueError(f"generator index out of range: {idx}")
-            if exp == 0:
-                continue
-            if exp > 0:
-                q, r = divmod(exp, self.p)
-                if r:
-                    v = self._rmul(v, idx, r)
-                if q:
-                    v = self._fold(v, self._power(self._powvec[idx - 1], q))
-            else:
-                v = self._fold(v, self._power(self._gen_inverse(idx), -exp))
-        return v
+            # g^exp is g^r (g^p)^q, and g^-q is (g^-1)^q
+            q, r = divmod(exp, self.p) if exp > 0 else (-exp, 0)
+            if r:
+                pending.append((idx - 1, r))
+            if q:
+                base = (self._powvec[idx - 1] if exp > 0
+                        else self._gen_inverse(idx))
+                pending.extend(reversed(_stacked(self._power(base, q))))
+        return self._run([0] * self.n, pending[::-1])
 
     def _inverse(self, a):
-        x = self.identity
-        c = a
-        for i in range(1, self.n + 1):
-            e = c[i - 1]
-            if e:
-                d = self.p - e
-                c = self._rmul(c, i, d)
-                x = self._rmul(x, i, d)
-        return x
+        # multiply a up to the identity; the inverse is the same factors
+        c, factors = list(a), []
+        for i0 in range(self.n):
+            if c[i0]:
+                factors.append((i0, self.p - c[i0]))
+                self._run(c, factors[-1:])
+        return self._run([0] * self.n, factors[::-1])
 
     def _power(self, a, m):
         if m < 0:
-            return self._power(self._inverse(a), -m)
-        result = self.identity
-        base = a
+            a, m = self._inverse(a), -m
+        result = None
         while m:
             if m & 1:
-                result = self._fold(result, base)
+                result = a if result is None else self._fold(result, a)
             m >>= 1
             if m:
-                base = self._fold(base, base)
-        return result
+                a = self._fold(a, a)
+        return self.identity if result is None else result
 
     def _gen_inverse(self, i):
         cached = self._geninv[i - 1]

@@ -13,10 +13,14 @@ Every p-th power question (agemo, omega1, exponent and so the
 exponent-p maximal subgroups, and the omega criterion's order-p scan)
 reads one sweep, _coset_sweep, over a transversal of the subgroup
 modulo a normal subgroup N.  The sweep rests on the Hall-Petrescu
-formula (P. Hall, Proc. LMS 36, 1934), in the one form used here:
+formula (P. Hall, Proc. LMS 36, 1934), in the form
 
     if N is normal of exponent p and [N, _{p-1} G] = 1, then
     (xn)^p = x^p for every x in G and n in N.
+
+The same formula gives (xy)^p = x^p y^p when G has class below p and
+gamma_2 has exponent p; agemo then needs no sweep, as x -> x^p is a
+homomorphism and its image is generated by the generators' p-th powers.
 
 The enumerating operations (that sweep, conjugacy orbits, the thinness
 sieve, brute oracles and lattice walks) respect an element budget,
@@ -51,11 +55,12 @@ def check_budget(needed, budget, what):
     """The budget gate: raise BudgetExceededError before a phase that
     needs `needed` steps when that is more than the budget (None means
     THINVILLE_BUDGET, else the default).  `what` describes the phase,
-    with `{}` where the count goes."""
+    with `{}` where the count goes.  Returns the budget it applied."""
     budget = get_budget(budget)
     if needed > budget:
         raise BudgetExceededError(
             what.format(needed) + f", budget is {budget}")
+    return budget
 
 
 def _leading(vec):
@@ -525,10 +530,19 @@ def _coset_sweep(pres, sub, budget):
 
 def agemo(pres, budget=None) -> Subgroup:
     """The subgroup generated by all p-th powers: by the p-th powers of
+    the generators when G has class below p and gamma_2 has exponent p
+    (x -> x^p is then a homomorphism, see the module docstring), else of
     one transversal modulo the Hall-Petrescu term of _coset_sweep."""
     cache = pres.cache
     if "agemo" not in cache:
-        _, reps = _coset_sweep(pres, whole_group(pres), budget)
+        # gamma_2 has class below p, so it is regular and has exponent p
+        # as soon as its basis does
+        if nilpotency_class(pres) < pres.p and all(
+                pres.power(b, pres.p) == pres.identity
+                for b in gamma(pres, 2).basis):
+            reps = pres.gens()
+        else:
+            _, reps = _coset_sweep(pres, whole_group(pres), budget)
         cache["agemo"] = generated_subgroup(
             pres, {pres.power(r, pres.p) for r in reps})
     return cache["agemo"]
@@ -588,13 +602,10 @@ def maximal_subgroups(pres):
 
 
 def _projective_points(p, r):
-    """Normalized direction vectors (first nonzero entry 1), lex order."""
-    pts = []
-    for v in itertools.product(range(p), repeat=r):
-        lead = next((x for x in v if x), None)
-        if lead == 1:
-            pts.append(v)
-    return sorted(pts)
+    """Normalized direction vectors (first nonzero entry 1), lex order:
+    the (p^r - 1)/(p - 1) of them and no other vector."""
+    return [(0,) * lead + (1,) + tail for lead in reversed(range(r))
+            for tail in itertools.product(range(p), repeat=r - lead - 1)]
 
 
 def maximal_subgroup_of(pres, vec) -> list:
@@ -651,11 +662,13 @@ def _is_thin_impl(pres, budget):
         if w > 2:
             return ThinReport(False, witness_kind="width", layer=i)
     c = len(series.terms) - 1
-    for i in range(1, c + 1):
+    # the last layer holds vacuously, as [gamma_c, G] = 1
+    for i in range(1, c):
         upper = series.terms[i - 1]
         target = series.terms[i]
         deeper = series.terms[i + 1] if i + 1 < len(series.terms) else trivial_subgroup(pres)
-        ok, bad = _covering_holds_on_layer(pres, upper, target, deeper)
+        ok, bad = _covering_holds_on_layer(pres, upper, target, deeper,
+                                           budget)
         if ok:
             continue
         # verify a genuine sandwich violation before answering no
@@ -673,18 +686,26 @@ def _is_thin_impl(pres, budget):
     return ThinReport(True)
 
 
-def _covering_holds_on_layer(pres, upper, target, deeper):
-    """Check [g,G] deeper = target for all g in upper minus target,
-    ranging g over representatives modulo deeper (enough: commutators
-    of deeper against G land below deeper)."""
+def _covering_holds_on_layer(pres, upper, target, deeper, budget=None):
+    """Check [g,G] deeper = target for all g in upper minus target.
+
+    The caller has checked that G/gamma_2 is elementary of order p^2,
+    so every layer upper/target is elementary abelian.  Modulo deeper,
+    g -> [g, x] is then linear on upper/target for each x, as
+    [gt, x] = [g, x] [[g, x], t] [t, x] with the last two factors in
+    deeper; so g ranges over one representative per direction of
+    upper/target."""
     group, lift = pres, None
     if deeper.log_order:
         group, project, lift = quotient_presentation(pres, deeper)
         upper = generated_subgroup(group, [project(b) for b in upper.basis])
         target = generated_subgroup(group, [project(b) for b in target.basis])
-    for u in upper.elements():
-        if u in target or u == group.identity:
-            continue
+    leads = set(target.leads)
+    basis = [b for b in upper.basis if _leading(b) not in leads]
+    check_budget((pres.p ** len(basis) - 1) // (pres.p - 1), budget,
+                 "thinness covering check needs {} directions")
+    for exps in _projective_points(pres.p, len(basis)):
+        u = _basis_product(group, basis, exps)
         comms = [group.commutator(u, g) for g in group.gens()]
         if generated_subgroup(group, comms) != target:
             return False, lift(u) if lift else u

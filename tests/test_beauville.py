@@ -15,6 +15,7 @@ import pytest
 from thinville.pcgroup import PcPresentation, random_element
 from thinville.beauville import (
     BeauvilleVerdict,
+    _class_count_bound,
     abelian_invariants,
     beauville,
     catanese_criterion,
@@ -22,14 +23,20 @@ from thinville.beauville import (
     exhaustive_beauville,
     generates,
     guided_beauville,
+    line_key,
     omega_negative_test,
+    outside_frattini,
     sigma_brute,
     socle_key,
     triple_fingerprint,
     verify_beauville_structure,
 )
 from thinville.catalog import resolve
-from thinville.structure import BudgetExceededError
+from thinville.structure import (
+    BudgetExceededError,
+    conjugacy_class_reps,
+    gamma,
+)
 
 from test_pc_core import UnitriangularModel
 
@@ -225,6 +232,45 @@ def test_exhaustive_budget_gate_fires_before_enumerating():
     assert v.status == "inconclusive"
     assert "budget is 10" in v.detail
     assert time.time() - t0 < 10
+
+
+def test_exhaustive_gate_bounds_classes_from_the_quotient():
+    # G/gamma_4 has 120 classes outside its Frattini subgroup, so the
+    # sweep needs at least 120 * (5^8 - 5^6) pairs: refused up front
+    t0 = time.time()
+    pres = resolve("thin5-c5-A4neg").presentation
+    v = beauville(pres, mode="exhaustive")
+    assert v.status == "inconclusive"
+    assert v.detail == ("exhaustive search needs at least 45000000 pair "
+                        "evaluations, budget is 10000000")
+    assert time.time() - t0 < 10
+
+
+@pytest.mark.parametrize("target", [
+    "heisenberg-5", "cpk2-3-2", "sg-3_5-3", "sg-3_6-34", "sg-3_6-40",
+    "thin35-n1", "thin36-n2"])
+def test_class_count_bound_is_a_lower_bound(target):
+    pres = resolve(target).presentation
+    exact = len(conjugacy_class_reps(pres, outside_frattini(pres)))
+    bound = _class_count_bound(pres)
+    assert 1 <= bound <= exact
+    if gamma(pres, 4).order == 1:
+        assert bound == exact
+
+
+@pytest.mark.parametrize("fixture_name", ["h5", "m27", "c9c9", "ut43"])
+def test_socle_key_is_the_socle_of_the_cyclic_subgroup(fixture_name, request):
+    pres = request.getfixturevalue(fixture_name)
+    rng = random.Random(31)
+    assert socle_key(pres, pres.identity) is None
+    for _ in range(60):
+        a = random_element(pres, rng)
+        if a == pres.identity:
+            continue
+        # the order-p subgroup of <a>, labelled by its least element
+        b = pres.power(a, pres.element_order(a) // pres.p)
+        want = min(pres.power(b, s) for s in range(1, pres.p))
+        assert socle_key(pres, a) == want == line_key(pres, b)
 
 
 def test_guided_budget_is_inconclusive():

@@ -17,6 +17,7 @@ from thinville import (
     resolve,
 )
 from thinville.catalog import CatalogEntry
+from thinville.structure import BudgetExceededError
 
 
 def test_builtin_ids_resolve():
@@ -163,3 +164,11 @@ def test_entry_without_presentation_fields():
                          expects={}, presentation=builtin("elab-3"))
     report = analyze(entry, mode="exhaustive")
     assert report.beauville_status == "refuted"
+
+
+def test_resolve_passes_the_budget_to_load_time_checks():
+    # the thinness check of the expectations tries the 6 directions of
+    # each layer of width 2
+    with pytest.raises(BudgetExceededError, match="needs 6 directions"):
+        resolve("thin5-c6-A2", budget=5)
+    assert resolve("thin5-c6-A2", budget=6).expects["thin"]

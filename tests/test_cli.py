@@ -168,6 +168,15 @@ def test_verify_p5_small_budget_is_inconclusive(capsys):
     assert err.startswith("inconclusive: ")
 
 
+def test_verify_budget_reaches_catalog_loading(capsys):
+    # loading the shipped entries runs their thinness test, whose
+    # covering check tries 6 directions per layer of a 3-group
+    rc, _, err = run(capsys, "verify-theorems", "--suite", "p3",
+                     "--budget", "5")
+    assert rc == 3
+    assert err.startswith("inconclusive: thinness covering check needs 6 ")
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "thin5-c5-A1", "--guided", "--json"),
     ("analyze", "thin5-c6-A2", "--guided", "--json"),
@@ -180,3 +189,36 @@ def test_p_th_power_reports_fit_default_budget(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
     assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("target, verdict", [
+    ("thin5-c5-A4neg", "refuted (omega)"),
+    ("thin5-c5-A4pos", "found (guided-A4)"),
+])
+def test_auto_mode_refuses_the_sweep_before_building_the_pool(
+        capsys, target, verdict):
+    # the class count bound from G/gamma_4 sends auto mode straight on
+    # to the guided search
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "beauville", target)
+    assert rc == 0, err
+    assert f"beauville: {verdict}\n" in out
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("analyze", "elab-1009", "--json"), 0),
+    # class 2 < p and gamma_2 of exponent p: the power subgroup is read
+    # off the generators, not swept over 1009^2 cosets
+    (("analyze", "heisenberg-1009", "--json", "--budget", "100000"), 0),
+    (("beauville", "heisenberg-1009"), 0),
+])
+def test_large_prime_builtins_without_traceback(capsys, argv, code):
+    rc, out, err = run(capsys, *argv)
+    assert rc == code, err
+    if argv[0] == "analyze":
+        report = json.loads(out)
+        assert report["prime"] == 1009
+        assert report["power_subgroup_order"] == 1
+    else:
+        assert out.startswith("id: heisenberg-1009\n")

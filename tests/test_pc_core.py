@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thinville.catalog import BUILTIN_IDS, builtin, data_entry_paths
 from thinville.pcgroup import (
     ConsistencyReport,
     InconsistentPresentationError,
@@ -383,3 +384,151 @@ def test_order_of_pth_power_drops(c25c25):
         o = c25c25.element_order(a)
         if o > 1:
             assert c25c25.element_order(c25c25.power(a, 5)) == o // 5
+
+
+# ----------------------------------------------------------------------
+# differential oracle: collection by recursion on the generator index
+
+class RecursiveCollector(PcPresentation):
+    """The same presentation collected by recursion on the generator
+    index, with tuple-keyed conjugate memos: every arithmetic method and
+    the consistency check run on this reference collection."""
+
+    def __init__(self, pres):
+        super().__init__(
+            pres.p, pres.n,
+            {i: pres.word_of(v) for i, v in enumerate(pres._powvec, 1)},
+            {ji: pres.word_of(v) for ji, v in pres._comvec.items()})
+        self._conj, self._conjpow = {}, {}
+
+    def _rmul(self, v, i, e):
+        if e == 0:
+            return v
+        i0 = i - 1
+        s = v[i0] + e
+        tail = [(j0, v[j0]) for j0 in range(i0 + 1, self.n) if v[j0]]
+        out = list(v)
+        out[i0] = s % self.p
+        for j0, _ in tail:
+            out[j0] = 0
+        w = tuple(out)
+        if s >= self.p:
+            w = self._fold(w, self._powvec[i0])
+        for j0, a in tail:
+            w = self._fold(w, self._conj_gen_pow(j0 + 1, i, e, a))
+        return w
+
+    def _fold(self, v, w):
+        for j0, e in enumerate(w):
+            if e:
+                v = self._rmul(v, j0 + 1, e)
+        return v
+
+    def _conj_gen(self, j, i, r):
+        key = (j, i, r)
+        if key not in self._conj:
+            if r == 1:
+                res = self._fold(self._gens[j - 1],
+                                 self._comvec.get((j, i), self.identity))
+            else:
+                res = self.identity
+                for j0, a in enumerate(self._conj_gen(j, i, r - 1)):
+                    if a:
+                        res = self._fold(res,
+                                         self._conj_gen_pow(j0 + 1, i, 1, a))
+            self._conj[key] = res
+        return self._conj[key]
+
+    def _conj_gen_pow(self, j, i, r, e):
+        if e == 1:
+            return self._conj_gen(j, i, r)
+        key = (j, i, r, e)
+        if key not in self._conjpow:
+            self._conjpow[key] = self._fold(
+                self._conj_gen_pow(j, i, r, e - 1), self._conj_gen(j, i, r))
+        return self._conjpow[key]
+
+    def _collect(self, word):
+        v = self.identity
+        for idx, exp in word:
+            if exp > 0:
+                q, r = divmod(exp, self.p)
+                v = self._rmul(v, idx, r)
+                if q:
+                    v = self._fold(v, self._power(self._powvec[idx - 1], q))
+            elif exp < 0:
+                v = self._fold(v, self._power(self._gen_inverse(idx), -exp))
+        return v
+
+    def _inverse(self, a):
+        x, c = self.identity, a
+        for i in range(1, self.n + 1):
+            if c[i - 1]:
+                d = self.p - c[i - 1]
+                c, x = self._rmul(c, i, d), self._rmul(x, i, d)
+        return x
+
+
+def _oracle_targets():
+    out = {name: builtin(name) for name in BUILTIN_IDS}
+    for path in data_entry_paths():
+        with open(path) as fh:
+            out[path.rsplit("/", 1)[-1][:-3]] = parse_presentation(fh.read())
+    out["ut43"] = UnitriangularModel(4, 3).presentation
+    out["ut53"] = UnitriangularModel(5, 3).presentation
+    out["c25c25"] = PcPresentation(5, 4, powers={1: [(3, 1)], 2: [(4, 1)]})
+    return out
+
+
+def test_oracle_covers_the_catalog():
+    assert len(BUILTIN_IDS) + len(data_entry_paths()) == 27
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_targets()))
+def test_collector_matches_recursive_reference(name):
+    P = _oracle_targets()[name]
+    R = RecursiveCollector(P)
+    rng = random.Random(29)
+    for _ in range(12):
+        a, b = random_element(P, rng), random_element(P, rng)
+        assert P.multiply(a, b) == R.multiply(a, b)
+        assert P.inverse(a) == R.inverse(a)
+        assert P.conjugate(a, b) == R.conjugate(a, b)
+        g = P.gen(rng.randrange(1, P.n + 1))
+        assert P.conjugate(a, g) == R.conjugate(a, g)
+        m = rng.randrange(-3 * P.p, 3 * P.p)
+        assert P.power(a, m) == R.power(a, m)
+        word = [(rng.randrange(1, P.n + 1), rng.randrange(-2 * P.p, 2 * P.p))
+                for _ in range(rng.randrange(0, 8))]
+        assert P.collect(word) == R.collect(word)
+
+
+def _mutated_ut43():
+    # UT(4, 3), where g4 and g1 commute, with [g4, g1] = g5 g6 instead
+    P = UnitriangularModel(4, 3).presentation
+    powers = {i: P.word_of(v) for i, v in enumerate(P._powvec, 1)}
+    comms = {ji: P.word_of(v) for ji, v in P._comvec.items()}
+    comms[(4, 1)] = [(5, 1), (6, 1)]
+    return PcPresentation(3, 6, powers, comms)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PcPresentation(5, 3, commutators={(2, 1): [(3, 2)]}),
+    lambda: PcPresentation(3, 3, powers={1: [(2, 1)], 2: [(3, 1)]},
+                           commutators={(2, 1): [(3, 1)]}),
+    _mutated_ut43,
+], ids=["mutated-h5", "inconsistent-tower", "mutated-ut43"])
+def test_consistency_failures_match_recursive_reference(make):
+    P = make()
+    want = RecursiveCollector(P).consistency_report()
+    assert P.consistency_report().failures == want.failures
+
+
+def test_large_prime_builtins_collect_without_recursion():
+    for name in ("elab-1009", "heisenberg-1009"):
+        P = builtin(name)
+        assert P.is_consistent()
+        g1 = P.gen(1)
+        assert P.power(g1, P.p - 1) == P.inverse(g1)
+        a = (5, 700, 3)[:P.n]
+        assert P.multiply(P.power(a, 1000), a) == P.power(a, 1001)

@@ -19,6 +19,7 @@ from thinville.structure import (
     Subgroup,
     _coset_sweep,
     _left_nullspace,
+    _projective_points,
     agemo,
     agemo_brute,
     canonical_coset_rep,
@@ -333,6 +334,14 @@ def test_maximal_subgroups(h5, ut43, c5c5):
     assert all(m.contains_subgroup(phi) for m in ms)
     assert len(maximal_subgroups(ut43)) == 13  # (3^3 - 1) / 2
     assert len(maximal_subgroups(c5c5)) == 6
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_projective_points_are_the_normalized_vectors(p, r):
+    brute = sorted(v for v in itertools.product(range(p), repeat=r)
+                   if next((x for x in v if x), None) == 1)
+    assert _projective_points(p, r) == brute
+    assert len(brute) == (p ** r - 1) // (p - 1)
 
 
 def test_maximal_subgroups_are_normal(h5):
