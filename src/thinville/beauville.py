@@ -202,28 +202,31 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     reps = conjugacy_class_reps(pres, pool, budget)
     check_budget(len(reps) * len(pool), budget,
                  "exhaustive search needs {} pair evaluations")
-    socle_memo = {v: socle_key(pres, v) for v in pool}
-    seen_triples = set()
+    # one bit per conjugacy orbit of socle lines, in order of first
+    # appearance; a pair's fingerprint is the OR of its members' bits
+    bit_of, bits, bit = {}, {}, 1
+    for v in pool:
+        key = socle_key(pres, v)
+        if key not in bit_of:
+            bit_of.update(dict.fromkeys(_socle_orbit(pres, key, budget), bit))
+            bit <<= 1
+        bits[v] = bit_of[key]
+    everything = [(y, pool.get(y)) for y in pres.elements()]
+    gens, p = pres.gens(), pres.p
     fingerprints = {}
     for x in reps:
-        px = pool[x]
-        sx = socle_memo[x]
-        for y, py in pool.items():
-            if (px[0] * py[1] - px[1] * py[0]) % pres.p == 0:
+        px, bx = pool[x], bits[x]
+        # x*y for every y, in the lexicographic order of y
+        for (y, py), m in zip(everything, pres.products(gens, x)):
+            if py is None or (px[0] * py[1] - px[1] * py[0]) % p == 0:
                 continue
             # x and y are independent modulo the Frattini subgroup, so
             # xy lies outside it and is in the pool
-            m = pres.multiply(x, y)
-            triple = frozenset((sx, socle_memo[y], socle_memo[m]))
-            if triple in seen_triples:
-                continue
-            seen_triples.add(triple)
-            fp = frozenset().union(*(_socle_orbit(pres, s, budget)
-                                     for s in triple))
+            fp = bx | bits[y] | bits[m]
             if fp not in fingerprints:
                 fingerprints[fp] = (x, y)
     for (f1, p1), (f2, p2) in combinations(fingerprints.items(), 2):
-        if f1.isdisjoint(f2):
+        if not f1 & f2:
             cert, detail = verify_beauville_structure(pres, p1, p2, budget)
             if cert is None:
                 raise AssertionError(

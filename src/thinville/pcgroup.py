@@ -18,19 +18,32 @@ stack of pending generator powers.  Multiplying by g_i^e zeroes the
 displaced tail and pushes its conjugates by g_i^e, then the power
 relator on overflow: words in higher generators only, which grounds the
 loop.  The conjugate powers (g_j^(g_i^r))^a live in rows keyed by integer
-arithmetic and filled by loops on first use, growing only as used.
+arithmetic and filled on first use, growing only as used.  The rows are
+logarithmic: r and a split at their top bit, so a missing entry is built
+from O(log p) others and large primes cost no more than small ones.
+
+Conjugation by a generator g_i is one collection too: conjugation is an
+automorphism, so a^(g_i) is the product over j of (g_j^(g_i))^(a_j).
+For j > i those words are the rows; for j < i they are filled once, on
+first use, by two folds.  `products(basis, start)` is the odometer
+behind every subgroup enumeration and the exhaustive Beauville sweep: a
+stack of prefix products, with one collection of one basis element per
+product.
 
 Deliberately inconsistent presentations are still safe to collect with:
 rewriting terminates regardless, and `check_consistency` reports which
-overlap relations fail to agree.
+overlap relations fail to agree.  On a consistent presentation every
+collection path gives the same normal forms; on an inconsistent one the
+failing overlaps listed, and so their count, depend on the path, here
+on how the logarithmic rows are built.
 
 The public methods (`multiply`, `power`, `inverse`, `conjugate`,
-`commutator`, `collect`, `element_order`, `gen`, `gens`) are the whole
-collector API: every other module does its arithmetic through them.  The
-arithmetic methods hold the one consistency gate: the first call runs
-the check, and once it has passed a single flag lets every later call
-through; a presentation that fails it refuses all arithmetic.  The
-private collection paths below serve only this module.
+`commutator`, `collect`, `element_order`, `products`, `gen`, `gens`) are
+the whole collector API: every other module does its arithmetic through
+them.  The arithmetic methods hold the one consistency gate: the first
+call runs the check, and once it has passed a single flag lets every
+later call through; a presentation that fails it refuses all
+arithmetic.  The private collection paths below serve only this module.
 """
 
 from __future__ import annotations
@@ -90,6 +103,11 @@ def _stacked(vec):
     return [(j, vec[j]) for j in range(len(vec) - 1, -1, -1) if vec[j]]
 
 
+def _top_part(m):
+    """The largest power of two below m, for m >= 2."""
+    return 1 << ((m - 1).bit_length() - 1)
+
+
 @dataclass
 class ConsistencyReport:
     consistent: bool
@@ -125,6 +143,7 @@ class PcPresentation:
         self._genidx = {g: i for i, g in enumerate(self._gens, start=1)}
         self._pows = [_stacked(v) for v in self._powvec]
         self._rows = {}     # i0 * p + r -> conjugate rows, see _conj_power
+        self._below = {}    # conjugates by later generators, see _conj_below
         self._geninv = [None] * n
         self._report = None
         self._checked = False    # set once the consistency check has passed
@@ -187,26 +206,40 @@ class PcPresentation:
 
     def _conj_power(self, j0, i0, r, a):
         # (g_j^(g_i^r))^a stacked, 0-based j0 > i0, 1 <= r, a < p.  Row
-        # i0 * p + r maps j0 to {a: that power} for the powers asked for:
-        # c_r = g_j^(g_i^r) is the product of the conjugates by g_i of the
-        # terms of c_(r-1), and c^a = c^(a-1) c.
-        p, n, rows = self.p, self.n, self._rows
-        for s in range(1, r + 1):
-            conj = rows.setdefault(i0 * p + s, [None] * n)
-            if conj[j0] is None:
-                if s == 1:                       # g_j [g_j, g_i]
-                    v = list(self._gens[j0])
-                    stack = _stacked(self._comvec.get((j0 + 1, i0 + 1), ()))
-                else:
-                    v, stack = [0] * n, []
-                    for j1, a1 in rows[i0 * p + s - 1][j0][1]:
-                        stack.extend(self._conj_power(j1, i0, 1, a1))
-                conj[j0] = {1: _stacked(self._run(v, stack))}
+        # i0 * p + r maps j0 to {a: that power} for the powers asked for.
+        # Both r and a split at their top bit b, so a missing entry needs
+        # O(log p) others: c_r = g_j^(g_i^r) is the product of the terms
+        # of c_b each conjugated by g_i^(r-b), and c^a = c^b c^(a-b).
+        p, n = self.p, self.n
+        conj = self._rows.setdefault(i0 * p + r, [None] * n)
         row = conj[j0]
-        if a not in row:    # c^a from the nearest lower power, c^b c ... c
-            b = max(k for k in row if k < a)
-            row[a] = _stacked(self._run([0] * n, row[1] * (a - b) + row[b]))
+        if row is None:
+            if r == 1:                           # g_j [g_j, g_i]
+                v = list(self._gens[j0])
+                stack = _stacked(self._comvec.get((j0 + 1, i0 + 1), ()))
+            else:
+                b = _top_part(r)
+                v, stack = [0] * n, []
+                for j1, a1 in self._conj_power(j0, i0, b, 1):
+                    stack.extend(self._conj_power(j1, i0, r - b, a1))
+            row = conj[j0] = {1: _stacked(self._run(v, stack))}
+        if a not in row:
+            b = _top_part(a)
+            row[a] = _stacked(self._run(
+                [0] * n, self._conj_power(j0, i0, r, a - b)
+                + self._conj_power(j0, i0, r, b)))
         return row[a]
+
+    def _conj_below(self, j0, i0, a):
+        # (g_j^(g_i))^a stacked for 0-based j0 < i0, by two folds on first
+        # use: the rows hold conjugates by earlier generators only
+        key = (i0 * self.n + j0) * self.p + a
+        word = self._below.get(key)
+        if word is None:
+            ga = tuple(a if k == j0 else 0 for k in range(self.n))
+            word = self._below[key] = _stacked(self._fold(
+                self._fold(self._gen_inverse(i0 + 1), ga), self._gens[i0]))
+        return word
 
     def _fold(self, v, w):
         # v * (the element with normal form w)
@@ -342,12 +375,31 @@ class PcPresentation:
         return self._power(a, m)
 
     def conjugate(self, a, g) -> tuple:
-        """g^-1 a g; the inverse of a generator g is computed once."""
+        """g^-1 a g.  By a generator g_i this is one collection of the
+        product of the (g_j^(g_i))^(a_j), as conjugation is an
+        automorphism; by any other g it is two folds."""
         if not self._checked:
             self.ensure_consistent()
         i = self._genidx.get(g)
-        ginv = self._inverse(g) if i is None else self._gen_inverse(i)
-        return self._fold(self._fold(ginv, a), g)
+        if i is None:
+            return self._fold(self._fold(self._inverse(g), a), g)
+        i0 = i - 1
+        conj = self._rows.get(i0 * self.p + 1)
+        stack = []
+        for j0 in range(self.n - 1, i0, -1):
+            e = a[j0]
+            if e:
+                try:
+                    stack.extend(conj[j0][e])
+                except (TypeError, KeyError):
+                    stack.extend(self._conj_power(j0, i0, 1, e))
+                    conj = self._rows[i0 * self.p + 1]
+        if a[i0]:
+            stack.append((i0, a[i0]))
+        for j0 in range(i0 - 1, -1, -1):
+            if a[j0]:
+                stack.extend(self._conj_below(j0, i0, a[j0]))
+        return self._run([0] * self.n, stack)
 
     def commutator(self, a, b) -> tuple:
         """[a, b] = a^-1 b^-1 a b."""
@@ -375,6 +427,31 @@ class PcPresentation:
     def elements(self):
         """Iterate every normal form, lexicographically."""
         return itertools.product(range(self.p), repeat=self.n)
+
+    def products(self, basis, start=None):
+        """Every start * basis[0]^e_0 * ... * basis[k-1]^e_(k-1) with
+        exponents in [0, p), in lexicographic order of the exponents
+        (start defaults to the identity).  An odometer over a stack of
+        prefix products: each product is one collection of one basis
+        element onto its prefix."""
+        if not self._checked:
+            self.ensure_consistent()
+        k, last = len(basis), self.p - 1
+        words = [_stacked(b) for b in basis]
+        exps = [0] * k
+        prefix = [self.identity if start is None else tuple(start)] * (k + 1)
+        while True:
+            yield prefix[k]
+            i = k - 1
+            while i >= 0 and exps[i] == last:
+                exps[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            exps[i] += 1
+            v = prefix[i + 1] = self._run(list(prefix[i + 1]), words[i][:])
+            for j in range(i + 2, k + 1):
+                prefix[j] = v
 
     def word_of(self, vec) -> Word:
         return [(i + 1, e) for i, e in enumerate(vec) if e]

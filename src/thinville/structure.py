@@ -12,7 +12,9 @@ presentation generators.
 Every p-th power question (agemo, omega1, exponent and so the
 exponent-p maximal subgroups, and the omega criterion's order-p scan)
 reads one sweep, _coset_sweep, over a transversal of the subgroup
-modulo a normal subgroup N.  The sweep rests on the Hall-Petrescu
+modulo a normal subgroup N.  That transversal, like every subgroup
+enumeration, comes from the collector's odometer,
+PcPresentation.products.  The sweep rests on the Hall-Petrescu
 formula (P. Hall, Proc. LMS 36, 1934), in the form
 
     if N is normal of exponent p and [N, _{p-1} G] = 1, then
@@ -23,8 +25,9 @@ gamma_2 has exponent p; agemo then needs no sweep, as x -> x^p is a
 homomorphism and its image is generated by the generators' p-th powers.
 
 The enumerating operations (that sweep, conjugacy orbits, the thinness
-sieve, brute oracles and lattice walks) respect an element budget,
-settable per call or through the THINVILLE_BUDGET environment variable.
+sieve, the maximal subgroups, brute oracles and lattice walks) respect
+an element budget, settable per call or through the THINVILLE_BUDGET
+environment variable.
 They all go through one gate, check_budget, which compares the count a
 phase needs with the budget before the phase starts and raises
 BudgetExceededError rather than letting it return a partial answer.
@@ -92,30 +95,6 @@ def _basis_product(pres, basis, exps):
     return v
 
 
-def _products(pres, basis):
-    """Every product basis[0]^e_0 * basis[1]^e_1 * ... with exponents in
-    [0, p), in lexicographic order of the exponents."""
-    if not basis:
-        yield pres.identity
-        return
-    # odometer with a prefix-product stack: one multiply per element
-    k = len(basis)
-    exps = [0] * k
-    prefix = [pres.identity] * (k + 1)
-    while True:
-        yield prefix[k]
-        i = k - 1
-        while i >= 0 and exps[i] == pres.p - 1:
-            exps[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        exps[i] += 1
-        prefix[i + 1] = pres.multiply(prefix[i + 1], basis[i])
-        for j in range(i + 1, k):
-            prefix[j + 1] = prefix[j]
-
-
 # ----------------------------------------------------------------------
 # echelonized subgroups
 
@@ -156,7 +135,7 @@ class Subgroup:
 
     def elements(self):
         """Every member, as products of basis powers (lexicographic)."""
-        return _products(self.pres, self.basis)
+        return self.pres.products(self.basis)
 
     def random_element(self, rng):
         exps = [rng.randrange(self.pres.p) for _ in self.basis]
@@ -181,27 +160,29 @@ class _Closure:
             b = P.power(u, pow(u[l - 1], -1, P.p))
             self.slots[l] = b
             self.queue.append(P.power(b, P.p))
-            # commutator obligations, both orders
+            # commutator obligations: [other, b] = [b, other]^-1 lies in
+            # the closed subgroup once [b, other] does
             for other in list(self.slots.values()):
                 if other is not b:
                     self.queue.append(P.commutator(b, other))
-                    self.queue.append(P.commutator(other, b))
             if self.normal:
                 for g in P.gens():
                     self.queue.append(P.conjugate(b, g))
-        return self.canonical_basis()
+        return _echelon(P, self.slots)
 
-    def canonical_basis(self):
-        P = self.pres
-        leads = sorted(self.slots)
-        out = []
-        for l in leads:
-            b = self.slots[l]
-            for l2 in leads:
-                if l2 > l and b[l2 - 1]:
-                    b = P.multiply(b, P.power(self.slots[l2], P.p - b[l2 - 1]))
-            out.append(b)
-        return out
+
+def _echelon(pres, slots):
+    """The canonical basis of the subgroup with induced sequence slots
+    (lead index -> element with leading exponent 1)."""
+    leads = sorted(slots)
+    out = []
+    for l in leads:
+        b = slots[l]
+        for l2 in leads:
+            if l2 > l and b[l2 - 1]:
+                b = pres.multiply(b, pres.power(slots[l2], pres.p - b[l2 - 1]))
+        out.append(b)
+    return out
 
 
 def generated_subgroup(pres, gens) -> Subgroup:
@@ -490,8 +471,21 @@ def frattini(pres) -> Subgroup:
 
 
 def frattini_quotient(pres):
-    """(quotient presentation of G/Frattini, project, lift)."""
-    return quotient_presentation(pres, frattini(pres))
+    """(quotient presentation of G/Frattini, project, lift).  G/Frattini
+    is elementary abelian, so project is linear: a normal form maps to
+    the sum of its exponents times the generators' images, mod p."""
+    cache = pres.cache
+    if "frattini-quotient" not in cache:
+        quotient, project, lift = quotient_presentation(pres, frattini(pres))
+        p, r = pres.p, quotient.n
+        images = [project(g) for g in pres.gens()]
+
+        def linear(vec):
+            return tuple(sum(e * image[k] for e, image in zip(vec, images))
+                         % p for k in range(r))
+
+        cache["frattini-quotient"] = (quotient, linear, lift)
+    return cache["frattini-quotient"]
 
 
 def _coset_sweep(pres, sub, budget):
@@ -524,8 +518,8 @@ def _coset_sweep(pres, sub, budget):
     check_budget(sub.order // N.order, budget,
                  "p-th power sweep needs {} cosets")
     leads = set(N.leads)
-    return N, _products(pres, [b for b in sub.basis
-                               if _leading(b) not in leads])
+    return N, pres.products([b for b in sub.basis
+                             if _leading(b) not in leads])
 
 
 def agemo(pres, budget=None) -> Subgroup:
@@ -578,24 +572,33 @@ def exponent(pres, sub, budget=None) -> int:
                pres.p if N.log_order else 1)
 
 
-def maximal_subgroups(pres):
-    """Index-p subgroups, ordered by their direction in G/Frattini."""
+def maximal_subgroups(pres, budget=None):
+    """Index-p subgroups, ordered by their direction in G/Frattini; the
+    budget is checked on their number, (p^r - 1)/(p - 1) for G/Frattini
+    of rank r."""
     cache = pres.cache
     if "maximals" in cache:
         return cache["maximals"]
     quotient, project, lift = frattini_quotient(pres)
     p, r = pres.p, quotient.n
+    check_budget((p ** r - 1) // (p - 1), budget,
+                 "maximal subgroups need {} directions")
     phi = frattini(pres)
     out = []
     for direction in _projective_points(p, r):
         # for rank 2 a maximal subgroup is the preimage of one line;
         # above that, of the hyperplane orthogonal to the direction
-        if r == 2:
-            span = [direction]
-        else:
-            span = _left_nullspace([[d] for d in direction], p)
-        gens = list(phi.basis) + [lift(v) for v in span]
-        out.append((direction, generated_subgroup(pres, gens)))
+        span = ([direction] if r == 2
+                else _left_nullspace([[d] for d in direction], p))
+        # Phi is normal and M/Phi elementary abelian, so Phi holds every
+        # p-th power and commutator of the lifts: sifting each lift into
+        # Phi's induced sequence gives one of M, with no closure
+        slots = dict(phi._leadmap)
+        for v in span:
+            u = _sift(pres, slots, lift(v))
+            l = _leading(u)
+            slots[l] = pres.power(u, pow(u[l - 1], -1, p))
+        out.append((direction, Subgroup(pres, _echelon(pres, slots))))
     maximals = [sub for _, sub in sorted(out, key=lambda t: t[0])]
     cache["maximals"] = maximals
     return maximals
@@ -951,7 +954,7 @@ def exponent_p_maximal_count(pres, budget=None) -> int:
     cache = pres.cache
     if "exp-p-maximals" not in cache:
         cache["exp-p-maximals"] = sum(
-            1 for sub in maximal_subgroups(pres)
+            1 for sub in maximal_subgroups(pres, budget)
             if maximal_has_exponent_p(pres, sub, budget))
     return cache["exp-p-maximals"]
 

@@ -9,6 +9,7 @@ exhaustive sweep, whose refutations are definitionally complete.
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -31,11 +32,14 @@ from thinville.beauville import (
     triple_fingerprint,
     verify_beauville_structure,
 )
-from thinville.catalog import resolve
+from thinville.catalog import BUILTIN_IDS, data_entry_paths, resolve
 from thinville.structure import (
     BudgetExceededError,
     conjugacy_class_reps,
+    conjugacy_orbit,
+    frattini,
     gamma,
+    quotient_presentation,
 )
 
 from test_pc_core import UnitriangularModel
@@ -305,3 +309,69 @@ def test_guided_without_recipe_is_honest(m27):
     v = guided_beauville(m27)
     assert v.status == "inconclusive"
     assert "no recipe" in v.detail
+
+
+# ----------------------------------------------------------------------
+# the sweep against its reference: frozenset fingerprints, one multiply
+# per pair, and the pool projected element by element
+
+def reference_exhaustive(pres):
+    quotient, project, lift = quotient_presentation(pres, frattini(pres))
+    if quotient.n != 2:
+        return BeauvilleVerdict("refuted", "exhaustive", None,
+                                "the group is not two-generated")
+    zero = (0,) * quotient.n
+    pool = {v: project(v) for v in pres.elements() if project(v) != zero}
+    reps = conjugacy_class_reps(pres, pool)
+    socle = {v: socle_key(pres, v) for v in pool}
+    orbits, seen_triples, fingerprints = {}, set(), {}
+    for x in reps:
+        for y, py in pool.items():
+            if (pool[x][0] * py[1] - pool[x][1] * py[0]) % pres.p == 0:
+                continue
+            triple = frozenset((socle[x], socle[y],
+                                socle[pres.multiply(x, y)]))
+            if triple in seen_triples:
+                continue
+            seen_triples.add(triple)
+            for key in triple - orbits.keys():
+                orbits[key] = frozenset(conjugacy_orbit(pres, key, line_key))
+            fingerprints.setdefault(
+                frozenset().union(*(orbits[k] for k in triple)), (x, y))
+    for (f1, p1), (f2, p2) in combinations(fingerprints.items(), 2):
+        if f1.isdisjoint(f2):
+            cert, _ = verify_beauville_structure(pres, p1, p2)
+            return BeauvilleVerdict("found", "exhaustive", cert)
+    return BeauvilleVerdict(
+        "refuted", "exhaustive", None,
+        f"all {len(fingerprints)} fingerprints pairwise intersect")
+
+
+SWEPT = {
+    "c3c3": lambda: PcPresentation(3, 2),
+    "c5c5": lambda: PcPresentation(5, 2),
+    "c7c7": lambda: PcPresentation(7, 2),
+    "c9c9": lambda: PcPresentation(3, 4, powers={1: [(3, 1)], 2: [(4, 1)]}),
+    "h5": lambda: PcPresentation(5, 3, commutators={(2, 1): [(3, 1)]}),
+    "h27": lambda: PcPresentation(3, 3, commutators={(2, 1): [(3, 1)]}),
+    "c27": lambda: PcPresentation(3, 3, powers={1: [(2, 1)], 2: [(3, 1)]}),
+    "elab27": lambda: PcPresentation(3, 3),
+}
+SWEPT.update({
+    target: (lambda target=target: resolve(target).presentation)
+    for target in list(BUILTIN_IDS) + [
+        p.rsplit("/", 1)[-1][:-3] for p in data_entry_paths()
+        if p.rsplit("/", 1)[-1].startswith(("sg-3_", "thin3"))]})
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_exhaustive_matches_reference_sweep(name):
+    got = exhaustive_beauville(SWEPT[name]())
+    want = reference_exhaustive(SWEPT[name]())
+    assert (got.status, got.method, got.detail) == \
+        (want.status, want.method, want.detail)
+    if want.certificate is None:
+        assert got.certificate is None
+    else:
+        assert (got.certificate.first_pair, got.certificate.second_pair) == \
+            (want.certificate.first_pair, want.certificate.second_pair)

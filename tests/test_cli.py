@@ -212,6 +212,9 @@ def test_auto_mode_refuses_the_sweep_before_building_the_pool(
     # off the generators, not swept over 1009^2 cosets
     (("analyze", "heisenberg-1009", "--json", "--budget", "100000"), 0),
     (("beauville", "heisenberg-1009"), 0),
+    # at the default budget too: its p + 1 maximal subgroups are
+    # echelonized without closures
+    (("analyze", "heisenberg-1009", "--json"), 0),
 ])
 def test_large_prime_builtins_without_traceback(capsys, argv, code):
     rc, out, err = run(capsys, *argv)

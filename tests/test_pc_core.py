@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thinville.catalog import BUILTIN_IDS, builtin, data_entry_paths
+from thinville.catalog import BUILTIN_IDS, builtin, data_entry_paths, resolve
 from thinville.pcgroup import (
     ConsistencyReport,
     InconsistentPresentationError,
@@ -16,6 +16,7 @@ from thinville.pcgroup import (
     parse_word,
     random_element,
 )
+from thinville.structure import gamma, maximal_subgroups
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +393,8 @@ def test_order_of_pth_power_drops(c25c25):
 class RecursiveCollector(PcPresentation):
     """The same presentation collected by recursion on the generator
     index, with tuple-keyed conjugate memos: every arithmetic method and
-    the consistency check run on this reference collection."""
+    the consistency check run on this reference collection, and
+    conjugation is the two folds g^-1 a g."""
 
     def __init__(self, pres):
         super().__init__(
@@ -468,6 +470,9 @@ class RecursiveCollector(PcPresentation):
                 c, x = self._rmul(c, i, d), self._rmul(x, i, d)
         return x
 
+    def conjugate(self, a, g):
+        return self._fold(self._fold(self._inverse(g), a), g)
+
 
 def _oracle_targets():
     out = {name: builtin(name) for name in BUILTIN_IDS}
@@ -524,6 +529,32 @@ def test_consistency_failures_match_recursive_reference(make):
     assert P.consistency_report().failures == want.failures
 
 
+
+def test_inconsistent_failures_follow_the_collection_path():
+    # On an inconsistent presentation the conjugate rows, built from the
+    # top bit of r and a, collect some overlap words to other normal
+    # forms than the one-power-at-a-time reference: here one more overlap
+    # relation fails.  Only the list of failures moves, not the verdict.
+    P = PcPresentation(
+        7, 5, {1: [(3, 5), (4, 3), (5, 2)], 3: [(5, 6)], 4: [(5, 4)]},
+        {(2, 1): [(3, 3), (4, 1)], (3, 1): [], (3, 2): [(4, 4), (5, 3)],
+         (4, 3): [(5, 5)]})
+    want = RecursiveCollector(P).consistency_report()
+    got = P.consistency_report()
+    assert not got.consistent and not want.consistent
+    assert got.failures == [
+        ("product", (3, 2, 1), (1, 1, 4, 5, 1), (1, 1, 4, 5, 0)),
+        ("product", (4, 2, 1), (1, 1, 3, 2, 0), (1, 1, 3, 2, 1)),
+        ("power-left", (2, 1), (1, 0, 0, 0, 0), (1, 0, 0, 0, 4)),
+        ("power-right", (2, 1), (0, 1, 5, 3, 2), (0, 1, 5, 2, 6)),
+        ("power-right", (3, 1), (0, 0, 6, 3, 2), (0, 0, 6, 3, 3)),
+        ("power-right", (4, 1), (0, 0, 5, 4, 6), (0, 0, 5, 4, 2)),
+        ("power-left", (3, 2), (0, 1, 0, 0, 6), (0, 1, 0, 0, 1)),
+        ("power-right", (3, 2), (0, 0, 1, 0, 0), (0, 0, 1, 0, 2)),
+    ]
+    assert [f for f in got.failures if f not in want.failures] == [
+        ("power-left", (2, 1), (1, 0, 0, 0, 0), (1, 0, 0, 0, 4))]
+
 def test_large_prime_builtins_collect_without_recursion():
     for name in ("elab-1009", "heisenberg-1009"):
         P = builtin(name)
@@ -532,3 +563,59 @@ def test_large_prime_builtins_collect_without_recursion():
         assert P.power(g1, P.p - 1) == P.inverse(g1)
         a = (5, 700, 3)[:P.n]
         assert P.multiply(P.power(a, 1000), a) == P.power(a, 1001)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-7", "thin5-c5-A4pos",
+                                  "thin5-c6-A2", "ut53"])
+def test_conjugation_by_each_generator_matches_the_reference(name):
+    # every generator: entries below, at and above its index
+    P = _oracle_targets()[name]
+    R = RecursiveCollector(P)
+    rng = random.Random(31)
+    for _ in range(10):
+        a = random_element(P, rng)
+        for g in P.gens():
+            assert P.conjugate(a, g) == R.conjugate(a, g)
+
+
+def test_ut4_11_matches_matrix_oracle():
+    # p = 11: conjugate rows of every power of g_i, split at their top bit
+    model = UnitriangularModel(4, 11)
+    P = model.presentation
+    rng = random.Random(37)
+    for _ in range(60):
+        a, b = random_element(P, rng), random_element(P, rng)
+        ma, mb = model.matrix_of(a), model.matrix_of(b)
+        assert P.multiply(a, b) == model.vector_of(_matmul(11, ma, mb))
+        g = P.gen(rng.randrange(1, P.n + 1))
+        mg = model.matrix_of(g)
+        want = _matmul(11, _matmul(11, _matinv(11, mg), ma), mg)
+        assert P.conjugate(a, g) == model.vector_of(want)
+
+
+def _products_cases():
+    """name -> (presentation, basis): the generators of h5 and UT(4, 3),
+    and the maximal subgroups and gamma_2 of two catalog entries."""
+    h5 = PcPresentation(5, 3, commutators={(2, 1): [(3, 1)]})
+    ut43 = UnitriangularModel(4, 3).presentation
+    cases = {"h5": (h5, h5.gens()), "ut43": (ut43, ut43.gens())}
+    for target in ("sg-3_6-34", "heisenberg-7"):
+        P = resolve(target).presentation
+        for k, m in enumerate(maximal_subgroups(P)):
+            cases[f"{target}-max{k}"] = (P, m.basis)
+        cases[f"{target}-gamma2"] = (P, gamma(P, 2).basis)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_products_cases()))
+def test_products_match_power_products(name):
+    P, basis = _products_cases()[name]
+    rng = random.Random(41)
+    for start in (None, random_element(P, rng)):
+        want = []
+        for exps in itertools.product(range(P.p), repeat=len(basis)):
+            prod = P.identity
+            for b, e in zip(basis, exps):
+                prod = P.multiply(prod, P.power(b, e))
+            want.append(P.multiply(start or P.identity, prod))
+        assert list(P.products(basis, start)) == want

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from thinville.beauville import omega_negative_test
-from thinville.catalog import BUILTIN_IDS, data_entry_paths, resolve
+from thinville.catalog import BUILTIN_IDS, builtin, data_entry_paths, resolve
 from thinville.pcgroup import PcPresentation
 from thinville.structure import (
     BudgetExceededError,
@@ -417,6 +417,53 @@ def test_exponent_p_count_agrees_with_enumeration(h5, m27, c25c25):
         want = sum(1 for m in maximal_subgroups(pres)
                    if brute_exponent(pres, m) == pres.p)
         assert exponent_p_maximal_count(pres) == want
+
+
+def test_maximal_subgroups_gate_their_direction_count():
+    pres = builtin("heisenberg-1009")
+    with pytest.raises(BudgetExceededError,
+                       match="maximal subgroups need 1010 directions"):
+        exponent_p_maximal_count(pres, budget=1000)
+
+
+MAXIMAL_TARGETS = {
+    "sg-3_6-34": lambda: resolve("sg-3_6-34").presentation,
+    "heisenberg-7": lambda: resolve("heisenberg-7").presentation,
+    "elab-5": lambda: resolve("elab-5").presentation,
+    "elab27": lambda: PcPresentation(3, 3),
+    "ut43": lambda: UnitriangularModel(4, 3).presentation,
+}
+
+
+@pytest.mark.parametrize("target", sorted(MAXIMAL_TARGETS))
+def test_maximals_match_their_closures(target):
+    # Phi and the lifts of a line (rank 2) or a hyperplane (above),
+    # echelonized directly, against the full closure
+    pres = MAXIMAL_TARGETS[target]()
+    phi = frattini(pres)
+    r, lift = frattini_quotient(pres)[0].n, frattini_quotient(pres)[2]
+    want = []
+    for d in _projective_points(pres.p, r):
+        span = [d] if r == 2 else _left_nullspace([[x] for x in d], pres.p)
+        want.append(generated_subgroup(
+            pres, list(phi.basis) + [lift(v) for v in span]))
+    assert [len(sub.basis) for sub in want] == [pres.n - 1] * len(want)
+    assert maximal_subgroups(pres) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PcPresentation(5, 3, commutators={(2, 1): [(3, 1)]}),
+    lambda: UnitriangularModel(4, 3).presentation,
+    lambda: resolve("sg-3_6-34").presentation,
+])
+def test_frattini_projection_is_the_coset_projection(make):
+    # the linear projection through the generators' images against the
+    # canonical coset representative of every element
+    pres = make()
+    _, project, _ = frattini_quotient(pres)
+    _, reference, _ = quotient_presentation(pres, frattini(pres))
+    for v in pres.elements():
+        assert project(v) == reference(v)
 
 
 # ----------------------------------------------------------------------
