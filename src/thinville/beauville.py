@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .structure import (
     BudgetExceededError,
@@ -48,13 +48,15 @@ from .structure import (
 # socle lines and fingerprints
 
 def line_key(pres, v):
-    """Canonical label of the order-p subgroup generated by v: the least
-    of v, v^2, ..., v^(p-1)."""
-    best = w = v
-    for _ in range(pres.p - 2):
-        w = pres.multiply(w, v)
-        best = min(best, w)
-    return best
+    """Canonical label of the order-p subgroup generated by a nontrivial
+    v: the least of v, v^2, ..., v^(p-1).  That is v^k for k the inverse
+    mod p of v's leading exponent a: with l the leading index, the layer
+    G_l/G_(l+1) has order p, so v^j leads at l with exponent j*a mod p,
+    and only v^k leads with exponent 1.  A label leads with 1, and so do
+    its conjugates, as the presentation refines a central series: on
+    them the label costs no multiply."""
+    a = next(e for e in v if e)
+    return v if a == 1 else pres.power(v, pow(a, -1, pres.p))
 
 
 def socle_key(pres, a):
@@ -175,13 +177,62 @@ def _class_count_bound(pres, budget=None):
     quotient = quotient_presentation(pres, gamma(pres, 4))[0]
     check_budget(quotient.order, budget, "class count bound needs {} elements")
     return len(conjugacy_class_reps(quotient, outside_frattini(quotient),
-                                    budget))
+                                    budget)[0])
+
+
+def _socle_bits(pres, pool, reps, rep_of, budget=None):
+    """Each pool element mapped to its socle-orbit bit: one bit per
+    conjugacy orbit of socle lines, in order of first appearance in
+    pool.  The bit is a class function, as socle(v^g) = socle(v)^g, so
+    socle_key runs on the class representatives only, as
+    conjugacy_class_reps gives them.  Each is its class's first member
+    in pool, so the bits come in the same order as element by element."""
+    bit_of, rep_bit, bit = {}, {}, 1
+    for r in reps:
+        key = socle_key(pres, r)
+        if key not in bit_of:
+            bit_of.update(dict.fromkeys(_socle_orbit(pres, key, budget), bit))
+            bit <<= 1
+        rep_bit[r] = bit_of[key]
+    return {v: rep_bit[rep_of[v]] for v in pool}
+
+
+def _bit_blind_tail(pres, pool, bits):
+    """The least t >= 1 such that each g_k with k > t lies in the
+    Frattini subgroup and bits[v g_k] == bits[v] for every v in pool,
+    checked generator by generator from g_n down to the first failure.
+
+    Then K = <g_(t+1), ..., g_n> is the set of normal forms with zero
+    head, a normal subgroup inside the Frattini subgroup, and v K is the
+    set of normal forms with v's first t exponents.  Each v k is a
+    product of such generators onto v, so bits, like the Frattini image,
+    is constant on v K."""
+    quotient, project, lift = frattini_quotient(pres)
+    zero = (0,) * quotient.n
+    t = pres.n
+    while t > 1:
+        g = pres.gen(t)
+        if project(g) != zero or any(bits[pres.multiply(v, g)] != bits[v]
+                                     for v in pool):
+            break
+        t -= 1
+    return t
 
 
 def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     """Enumerate every generating pair up to conjugacy of the first
     member, collect the distinct fingerprints, and look for a disjoint
-    pair. Completing the sweep with no disjoint pair refutes."""
+    pair. Completing the sweep with no disjoint pair refutes.
+
+    The sweep reads only what the fingerprint can see.  The socle-orbit
+    bits are computed once per conjugacy class, and y runs over one
+    transversal of the bit-blind tail K of _bit_blind_tail: the p^t
+    normal forms with zero tail.  On y K the direction of y and the
+    fingerprint bits[x] | bits[y] | bits[xy] are constant (xy k = x(yk)),
+    and the zero-tail y is the lexicographically first of its block, so
+    the fingerprints, their first pairs and their order are those of
+    the sweep over every y.  The budget gates count every y, so the
+    sweep does fewer pair evaluations than they admit, never more."""
     quotient, project, lift = frattini_quotient(pres)
     if quotient.n != 2:
         # rank 1: every two cyclic subgroups share the unique socle;
@@ -199,25 +250,21 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
         check_budget(_class_count_bound(pres, budget) * pool_size, budget,
                      "exhaustive search needs at least {} pair evaluations")
     pool = outside_frattini(pres)
-    reps = conjugacy_class_reps(pres, pool, budget)
+    reps, rep_of = conjugacy_class_reps(pres, pool, budget)
     check_budget(len(reps) * len(pool), budget,
                  "exhaustive search needs {} pair evaluations")
-    # one bit per conjugacy orbit of socle lines, in order of first
-    # appearance; a pair's fingerprint is the OR of its members' bits
-    bit_of, bits, bit = {}, {}, 1
-    for v in pool:
-        key = socle_key(pres, v)
-        if key not in bit_of:
-            bit_of.update(dict.fromkeys(_socle_orbit(pres, key, budget), bit))
-            bit <<= 1
-        bits[v] = bit_of[key]
-    everything = [(y, pool.get(y)) for y in pres.elements()]
-    gens, p = pres.gens(), pres.p
+    # a pair's fingerprint is the OR of its members' bits
+    bits = _socle_bits(pres, pool, reps, rep_of, budget)
+    t, p = _bit_blind_tail(pres, pool, bits), pres.p
+    tail = (0,) * (pres.n - t)
+    heads = [(y, pool.get(y)) for y in (
+        head + tail for head in product(range(p), repeat=t))]
+    gens = pres.gens()[:t]
     fingerprints = {}
     for x in reps:
         px, bx = pool[x], bits[x]
-        # x*y for every y, in the lexicographic order of y
-        for (y, py), m in zip(everything, pres.products(gens, x)):
+        # x*y for every zero-tail y, in the lexicographic order of y
+        for (y, py), m in zip(heads, pres.products(gens, x)):
             if py is None or (px[0] * py[1] - px[1] * py[0]) % p == 0:
                 continue
             # x and y are independent modulo the Frattini subgroup, so

@@ -268,15 +268,16 @@ def conjugacy_orbit(pres, v, label=None, budget=None):
 
 
 def conjugacy_class_reps(pres, pool, budget=None):
-    """The first member of pool from each conjugacy class meeting it,
-    in pool order."""
-    seen = set()
-    reps = []
+    """(reps, rep_of) from one search: reps holds the first member of
+    pool from each conjugacy class meeting it, in pool order, and rep_of
+    maps every element of those classes to its class's member of reps."""
+    reps, rep_of = [], {}
     for v in pool:
-        if v not in seen:
+        if v not in rep_of:
             reps.append(v)
-            seen |= conjugacy_orbit(pres, v, budget=budget)
-    return reps
+            rep_of.update(dict.fromkeys(
+                conjugacy_orbit(pres, v, budget=budget), v))
+    return reps, rep_of
 
 
 # ----------------------------------------------------------------------
@@ -697,8 +698,11 @@ def _covering_holds_on_layer(pres, upper, target, deeper, budget=None):
     g -> [g, x] is then linear on upper/target for each x, as
     [gt, x] = [g, x] [[g, x], t] [t, x] with the last two factors in
     deeper; so g ranges over one representative per direction of
-    upper/target."""
+    upper/target.  Every [g, x] lies in target, so when target/deeper
+    has order p the first commutator outside deeper decides, with no
+    closure."""
     group, lift = pres, None
+    width = target.log_order - deeper.log_order
     if deeper.log_order:
         group, project, lift = quotient_presentation(pres, deeper)
         upper = generated_subgroup(group, [project(b) for b in upper.basis])
@@ -709,8 +713,12 @@ def _covering_holds_on_layer(pres, upper, target, deeper, budget=None):
                  "thinness covering check needs {} directions")
     for exps in _projective_points(pres.p, len(basis)):
         u = _basis_product(group, basis, exps)
-        comms = [group.commutator(u, g) for g in group.gens()]
-        if generated_subgroup(group, comms) != target:
+        comms = (group.commutator(u, g) for g in group.gens())
+        if width == 1:
+            covers = any(c != group.identity for c in comms)
+        else:
+            covers = generated_subgroup(group, list(comms)) == target
+        if not covers:
             return False, lift(u) if lift else u
     return True, None
 
@@ -960,4 +968,14 @@ def exponent_p_maximal_count(pres, budget=None) -> int:
 
 
 def maximal_has_exponent_p(pres, sub, budget=None) -> bool:
-    return exponent(pres, sub, budget) == pres.p
+    """exponent(pres, sub) == p, asked as yes or no: every p-th power of
+    the elements exponent reads (the basis when sub is abelian, else the
+    transversal of _coset_sweep) is trivial.  It stops at the first
+    nontrivial power, with one p-th power per element.  A nonabelian sub
+    has elements of order p or more on its transversal or in N, so only
+    the trivial subgroup (exponent 1) needs its own answer."""
+    if sub.log_order == 0:
+        return False
+    reps = (sub.basis if is_abelian_subgroup(pres, sub)
+            else _coset_sweep(pres, sub, budget)[1])
+    return all(pres.power(r, pres.p) == pres.identity for r in reps)

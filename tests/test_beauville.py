@@ -10,13 +10,16 @@ exhaustive sweep, whose refutations are definitionally complete.
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from thinville.pcgroup import PcPresentation, random_element
 from thinville.beauville import (
     BeauvilleVerdict,
+    _bit_blind_tail,
     _class_count_bound,
+    _socle_bits,
     abelian_invariants,
     beauville,
     catanese_criterion,
@@ -255,7 +258,7 @@ def test_exhaustive_gate_bounds_classes_from_the_quotient():
     "thin35-n1", "thin36-n2"])
 def test_class_count_bound_is_a_lower_bound(target):
     pres = resolve(target).presentation
-    exact = len(conjugacy_class_reps(pres, outside_frattini(pres)))
+    exact = len(conjugacy_class_reps(pres, outside_frattini(pres))[0])
     bound = _class_count_bound(pres)
     assert 1 <= bound <= exact
     if gamma(pres, 4).order == 1:
@@ -315,6 +318,11 @@ def test_guided_without_recipe_is_honest(m27):
 # the sweep against its reference: frozenset fingerprints, one multiply
 # per pair, and the pool projected element by element
 
+def min_power_label(pres, v):
+    """The least of v, v^2, ..., v^(p-1): the line label by definition."""
+    return min(pres.power(v, j) for j in range(1, pres.p))
+
+
 def reference_exhaustive(pres):
     quotient, project, lift = quotient_presentation(pres, frattini(pres))
     if quotient.n != 2:
@@ -322,8 +330,10 @@ def reference_exhaustive(pres):
                                 "the group is not two-generated")
     zero = (0,) * quotient.n
     pool = {v: project(v) for v in pres.elements() if project(v) != zero}
-    reps = conjugacy_class_reps(pres, pool)
-    socle = {v: socle_key(pres, v) for v in pool}
+    reps, _ = conjugacy_class_reps(pres, pool)
+    # every pool element's socle line, labelled by its least generator
+    socle = {v: min_power_label(pres, pres.power(
+        v, pres.element_order(v) // pres.p)) for v in pool}
     orbits, seen_triples, fingerprints = {}, set(), {}
     for x in reps:
         for y, py in pool.items():
@@ -335,7 +345,8 @@ def reference_exhaustive(pres):
                 continue
             seen_triples.add(triple)
             for key in triple - orbits.keys():
-                orbits[key] = frozenset(conjugacy_orbit(pres, key, line_key))
+                orbits[key] = frozenset(
+                    conjugacy_orbit(pres, key, min_power_label))
             fingerprints.setdefault(
                 frozenset().union(*(orbits[k] for k in triple)), (x, y))
     for (f1, p1), (f2, p2) in combinations(fingerprints.items(), 2):
@@ -375,3 +386,64 @@ def test_exhaustive_matches_reference_sweep(name):
     else:
         assert (got.certificate.first_pair, got.certificate.second_pair) == \
             (want.certificate.first_pair, want.certificate.second_pair)
+
+
+# ----------------------------------------------------------------------
+# what the sweep reads: the one-power line label, class bits, the tail
+
+CATALOG_TARGETS = list(BUILTIN_IDS) + [Path(p).stem
+                                       for p in data_entry_paths()]
+
+
+@pytest.mark.parametrize("target", CATALOG_TARGETS)
+def test_line_key_is_the_least_power(target):
+    pres = resolve(target).presentation
+    rng = random.Random(53)
+    checked = 0
+    while checked < 12:
+        v = random_element(pres, rng)
+        if v == pres.identity:
+            continue
+        assert line_key(pres, v) == min_power_label(pres, v)
+        checked += 1
+
+
+def sweep_bits(pres):
+    pool = outside_frattini(pres)
+    return pool, _socle_bits(pres, pool, *conjugacy_class_reps(pres, pool))
+
+
+@pytest.mark.parametrize("target, t", [
+    ("heisenberg-5", 2), ("thin35-n1", 2), ("sg-3_6-34", 5),
+    ("sg-3_5-3", None)])
+def test_bit_blind_tail_index(target, t):
+    # None: no generator is bit-blind, so y runs over all of G
+    pres = resolve(target).presentation
+    pool, bits = sweep_bits(pres)
+    assert _bit_blind_tail(pres, pool, bits) == (pres.n if t is None else t)
+
+
+@pytest.mark.parametrize("target", [
+    "heisenberg-5", "cpk2-3-2", "thin35-n1", "sg-3_6-34"])
+def test_socle_bits_are_constant_on_tail_cosets(target):
+    pres = resolve(target).presentation
+    pool, bits = sweep_bits(pres)
+    t = _bit_blind_tail(pres, pool, bits)
+    # each element's conjugacy-closed socle lines, element by element
+    orbits, lines = {}, {}
+    for v in pool:
+        key = min_power_label(pres, pres.power(
+            v, pres.element_order(v) // pres.p))
+        if key not in orbits:
+            orbits[key] = frozenset(
+                conjugacy_orbit(pres, key, min_power_label))
+        lines[v] = orbits[key]
+    # the bits name the same partition of the pool as the line sets
+    pairs = {(bits[v], lines[v]) for v in pool}
+    assert len(pairs) == len(set(bits.values())) == len(set(lines.values()))
+    # and y k has the lines of y for every y and every k in K
+    K = [k for k in pres.elements() if not any(k[:t])]
+    assert len(K) == pres.p ** (pres.n - t)
+    for y in pool:
+        if not any(y[t:]):
+            assert all(lines[pres.multiply(y, k)] == lines[y] for k in K)

@@ -18,6 +18,7 @@ from thinville.structure import (
     BudgetExceededError,
     Subgroup,
     _coset_sweep,
+    _covering_holds_on_layer,
     _left_nullspace,
     _projective_points,
     agemo,
@@ -524,6 +525,33 @@ def test_power_sweep_matches_brute_force(request, name):
     assert report.applies == (brute_agemo.order == p)
     if report.applies:
         assert report.directions == brute_directions(pres, table)
+
+
+@pytest.mark.parametrize("name", CATALOG_TARGETS)
+def test_maximal_has_exponent_p_matches_exponent(name):
+    # the yes/no question against the full exponent of each maximal
+    pres = resolve(name).presentation
+    for m in maximal_subgroups(pres):
+        assert maximal_has_exponent_p(pres, m) == \
+            (exponent(pres, m) == pres.p)
+    assert not maximal_has_exponent_p(pres, trivial_subgroup(pres))
+
+
+@pytest.mark.parametrize("name", SMALL_TARGETS + ["ut43"])
+def test_covering_check_matches_every_element(request, name):
+    # the definition on each layer: for every g in upper outside target,
+    # the commutators [g, x] and deeper generate target
+    pres = _group(request, name)
+    terms = lower_central_series(pres).terms
+    for i in range(1, len(terms) - 1):
+        upper, target, deeper = terms[i - 1], terms[i], terms[i + 1]
+        want = all(
+            generated_subgroup(pres, [pres.commutator(g, x)
+                                      for x in pres.gens()]
+                               + list(deeper.basis)) == target
+            for g in upper.elements() if g not in target)
+        assert _covering_holds_on_layer(pres, upper, target, deeper)[0] \
+            == want
 
 
 @pytest.mark.parametrize("name", CATALOG_TARGETS)

@@ -395,7 +395,7 @@ def template_tuple(pres):
 def has_pair_with_tuple(pres, target_tuple):
     rebuild = rebuild_rank5 if pres.n == 5 else rebuild_rank6
     pool = outside_frattini(pres)
-    reps = conjugacy_class_reps(pres, pool)
+    reps, _ = conjugacy_class_reps(pres, pool)
     p = pres.p
     for a in reps:
         pa = pool[a]
