@@ -93,28 +93,6 @@ def triple_fingerprint(pres, x, y, budget=None):
     return frozenset(out)
 
 
-def sigma_brute(pres, x, y):
-    """The literal union of all conjugates of the three cyclic
-    subgroups, as an element set. Oracle for fingerprint disjointness."""
-    out = {pres.identity}
-    for m in (x, y, pres.multiply(x, y)):
-        seen = {m}
-        queue = [m]
-        while queue:
-            v = queue.pop()
-            for g in pres.gens():
-                w = pres.conjugate(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        for v in seen:
-            u = v
-            while u != pres.identity:
-                out.add(u)
-                u = pres.multiply(u, v)
-    return out
-
-
 def generates(pres, x, y) -> bool:
     """Two elements generate a p-group iff they do so modulo the
     Frattini subgroup."""

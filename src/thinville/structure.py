@@ -25,9 +25,9 @@ gamma_2 has exponent p; agemo then needs no sweep, as x -> x^p is a
 homomorphism and its image is generated by the generators' p-th powers.
 
 The enumerating operations (that sweep, conjugacy orbits, the thinness
-sieve, the maximal subgroups, brute oracles and lattice walks) respect
-an element budget, settable per call or through the THINVILLE_BUDGET
-environment variable.
+sieve, the maximal subgroups and lattice walks) respect an element
+budget, settable per call or through the THINVILLE_BUDGET environment
+variable.
 They all go through one gate, check_budget, which compares the count a
 phase needs with the budget before the phase starts and raises
 BudgetExceededError rather than letting it return a partial answer.
@@ -543,13 +543,6 @@ def agemo(pres, budget=None) -> Subgroup:
     return cache["agemo"]
 
 
-def agemo_brute(pres, budget=None) -> Subgroup:
-    """Reference agemo by enumerating every element's p-th power."""
-    check_budget(pres.order, budget, "brute agemo needs {} elements")
-    gens = {pres.power(v, pres.p) for v in pres.elements()}
-    return generated_subgroup(pres, gens)
-
-
 def omega1(pres, budget=None) -> Subgroup:
     """Subgroup generated by the elements of order dividing p: the
     Hall-Petrescu term N of _coset_sweep (exponent p) and the
@@ -733,44 +726,6 @@ def _sieve_layer(pres, upper, target, budget):
         if not normal_closure(pres, [g]).contains_subgroup(target):
             return g
     return None
-
-
-def is_thin_brute(pres, budget=None) -> bool:
-    """Definitional test over the full normal subgroup lattice."""
-    series = lower_central_series(pres)
-    for sub in normal_subgroups(pres, budget):
-        if not any(
-            series.terms[i].contains_subgroup(sub)
-            and (i + 1 >= len(series.terms) or sub.contains_subgroup(series.terms[i + 1]))
-            for i in range(len(series.terms))
-        ):
-            return False
-    for w in series.widths:
-        if w > 2:
-            return False
-    if frattini_quotient(pres)[0].n < 2:
-        return False
-    return True
-
-
-def normal_subgroups(pres, budget=None):
-    """All normal subgroups: cyclic normal closures, closed under join."""
-    check_budget(pres.order, budget, "normal subgroup walk needs {} elements")
-    found = {}
-    for v in pres.elements():
-        sub = normal_closure(pres, [v])
-        found.setdefault(sub.basis, sub)
-    frontier = list(found.values())
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(found.values()):
-                join = subgroup_join(pres, a, b)
-                if join.basis not in found:
-                    found[join.basis] = join
-                    fresh.append(join)
-        frontier = fresh
-    return sorted(found.values(), key=lambda s: (s.log_order, s.basis))
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from thinville import (
     random_element,
     rational_exponent,
     resolve,
-    sigma_brute,
     triple_fingerprint,
     verify_place_of_agemo,
 )
@@ -41,11 +40,12 @@ from thinville.beauville import generates
 from thinville.structure import (
     covering_property_check,
     frattini_quotient,
-    is_thin_brute,
     profile_matches_shape_grammar,
     _projective_points,
 )
 from thinville.cli import _suite_p3, _suite_p5
+
+from oracles import is_thin_brute, sigma_brute
 
 PRIMES = (3, 5, 7, 11, 13)
 

@@ -30,7 +30,6 @@ from thinville.beauville import (
     line_key,
     omega_negative_test,
     outside_frattini,
-    sigma_brute,
     socle_key,
     triple_fingerprint,
     verify_beauville_structure,
@@ -45,6 +44,7 @@ from thinville.structure import (
     quotient_presentation,
 )
 
+from oracles import sigma_brute
 from test_pc_core import UnitriangularModel
 
 

@@ -22,7 +22,6 @@ from thinville.structure import (
     _left_nullspace,
     _projective_points,
     agemo,
-    agemo_brute,
     canonical_coset_rep,
     center,
     covering_property_check,
@@ -39,7 +38,6 @@ from thinville.structure import (
     is_metabelian,
     is_normal,
     is_thin,
-    is_thin_brute,
     lattice_nodes,
     lattice_profile,
     lower_central_series,
@@ -47,7 +45,6 @@ from thinville.structure import (
     maximal_subgroups,
     nilpotency_class,
     normal_closure,
-    normal_subgroups,
     omega1,
     profile_matches_shape_grammar,
     quotient_presentation,
@@ -58,6 +55,7 @@ from thinville.structure import (
     whole_group,
 )
 
+from oracles import agemo_brute, is_thin_brute, normal_subgroups
 from test_pc_core import UnitriangularModel
 
 CATALOG_TARGETS = list(BUILTIN_IDS) + [Path(p).stem

@@ -5,16 +5,18 @@ Two sources feed the catalog.  The five-group case representatives are
 direct constructions: the derived subgroup is laid out as a rank-one
 module over F_p[X, Y] subject to X^2 = h Y^2 with h a quadratic
 non-residue, and the generator powers are chosen so the collector
-accepts the presentation.  The 3-group entries come from a census:
-every pc presentation in two narrow template shapes is swept for
-consistency, survivors are reduced up to isomorphism by a
-generating-pair search, and each class is settled by the exhaustive
-Beauville search.
+accepts the presentation.  The 3-group entries come from one
+template-driven census: each of the two template shapes (orders 3^5
+and 3^6) is written as data, one sweep checks every instance of a
+template for consistency, one isomorphism reduction groups survivors
+by a generating-pair search, and the exhaustive Beauville search
+settles the verdicts.
 
 Every number written into an `# expect:` header is computed here by
 the engine before it is frozen; nothing is copied in by hand.
 
-Run from the repository root:
+Run from the repository root (the --out directory is created if it
+does not exist):
 
     python tools/build_catalog.py --suite all --out src/thinville/data
 """
@@ -25,8 +27,9 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
-from itertools import product
+from collections import Counter, namedtuple
+from itertools import chain, product
+from pathlib import Path
 
 from thinville.pcgroup import PcPresentation, format_element
 from thinville.structure import (
@@ -165,88 +168,72 @@ FIVE_GROUP_ENTRIES = [
 #   [d4,x] = e^m1   [d4,y] = [d5,x] = e^m2   [d5,y] = e^m4
 # (the mixed entries agree because commutation into an abelian derived
 # subgroup is a symmetric bilinear pairing).
+#
+# A template is data: n generators; the coupling matrices swept; for
+# each coupling, the commutators it sets to that power of g_n; for each
+# swept power word, its generator and the span its exponents range
+# over; and for the cubes of x, y, c, d4, d5, the generator from which
+# each is read when a generating pair is matched (see read_frame).
 
-TEMPLATE35_COMM = {(2, 1): [(3, 1)], (3, 1): [(4, 1)], (3, 2): [(5, 1)]}
+Template = namedtuple("Template", "n matrices couplings powers reads")
+
+# [g_j, g_i] = g_k for (j, i, k): c, d4 and d5 in both ranks.
+DEFINING = ((2, 1, 3), (3, 1, 4), (3, 2, 5))
+
+# A complete census of the rank-5 shape: x^3 and y^3 range over the
+# whole Frattini tail, c^3 over the weight-3 span, d4^3 over d5.  Cubes
+# of a pair may carry a component on c itself, so they are read from c
+# on; everything else lives in the weight-3 span.
+RANK5 = Template(
+    n=5,
+    matrices=[()],
+    couplings=(),
+    powers=((1, (3, 4, 5)), (2, (3, 4, 5)), (3, (4, 5)), (4, (5,))),
+    reads=(3, 3, 4, 4, 4))
+
+# A pruned rank-6 grid: generator cubes range over the weight-3 span and
+# the cubes of derived words over the deepest term.  For the thin
+# targets this loses nothing: their cube subgroup lies in the third
+# series term and the cube of the derived subgroup in the fourth.  The
+# zero coupling matrix is skipped because it forces a third independent
+# generator direction.
+RANK6 = Template(
+    n=6,
+    matrices=[m for m in product(range(3), repeat=3) if any(m)],
+    couplings=(((4, 1),), ((4, 2), (5, 1)), ((5, 2),)),
+    powers=((1, (4, 5, 6)), (2, (4, 5, 6)), (3, (6,)), (4, (6,)),
+            (5, (6,))),
+    reads=(4, 4, 4, 4, 4))
+
+TEMPLATES = {tpl.n: tpl for tpl in (RANK5, RANK6)}
 
 
 def _word(indices, exps):
     return [(g, e) for g, e in zip(indices, exps) if e]
 
 
-def sweep_rank5():
-    """All consistent rank-5 template presentations.
+def build_instance(tpl, matrix, words):
+    """The template presentation with this coupling matrix and these
+    power words."""
+    comm = {(j, i): [(k, 1)] for j, i, k in DEFINING}
+    for pairs, m in zip(tpl.couplings, matrix):
+        if m:
+            for pair in pairs:
+                comm[pair] = [(tpl.n, m)]
+    pows = {g: _word(span, w)
+            for (g, span), w in zip(tpl.powers, words) if any(w)}
+    return PcPresentation(3, tpl.n, powers=pows, commutators=comm)
 
-    Power words range over everything the pc format allows for this
-    shape, so the sweep is a complete census of the template: x^3 and
-    y^3 over the whole Frattini tail, c^3 over the weight-3 span, d4^3
-    over d5.
-    """
+
+def sweep(tpl):
+    """All consistent instances of a template, as (params, pres) in
+    lexicographic order of params = (matrix, power word, ...)."""
+    grids = [product(range(3), repeat=len(span)) for _, span in tpl.powers]
     survivors = []
-    for wx in product(range(3), repeat=3):
-        for wy in product(range(3), repeat=3):
-            for wc in product(range(3), repeat=2):
-                for wd4 in range(3):
-                    pows = {}
-                    if any(wx):
-                        pows[1] = _word((3, 4, 5), wx)
-                    if any(wy):
-                        pows[2] = _word((3, 4, 5), wy)
-                    if any(wc):
-                        pows[3] = _word((4, 5), wc)
-                    if wd4:
-                        pows[4] = [(5, wd4)]
-                    g = PcPresentation(3, 5, powers=pows,
-                                       commutators=TEMPLATE35_COMM)
-                    if g.is_consistent():
-                        survivors.append(((wx, wy, wc, wd4), g))
-    return survivors
-
-
-def sweep_rank6():
-    """All consistent rank-6 template presentations over the pruned
-    power grid.
-
-    Pruning: generator cubes range over the weight-3 span and the cubes
-    of derived words over the deepest term.  For the thin targets this
-    loses nothing: their cube subgroup lies in the third series term
-    and the cube of the derived subgroup in the fourth.  The zero
-    coupling matrix is skipped because it forces a third independent
-    generator direction.
-    """
-    matrices = [(m1, m2, m4)
-                for m1 in range(3) for m2 in range(3) for m4 in range(3)
-                if (m1, m2, m4) != (0, 0, 0)]
-    survivors = []
-    for m1, m2, m4 in matrices:
-        comm = {(2, 1): [(3, 1)], (3, 1): [(4, 1)], (3, 2): [(5, 1)]}
-        if m1:
-            comm[(4, 1)] = [(6, m1)]
-        if m2:
-            comm[(4, 2)] = [(6, m2)]
-            comm[(5, 1)] = [(6, m2)]
-        if m4:
-            comm[(5, 2)] = [(6, m4)]
-        for wx in product(range(3), repeat=3):
-            for wy in product(range(3), repeat=3):
-                for wc in range(3):
-                    for wd4 in range(3):
-                        for wd5 in range(3):
-                            pows = {}
-                            if any(wx):
-                                pows[1] = _word((4, 5, 6), wx)
-                            if any(wy):
-                                pows[2] = _word((4, 5, 6), wy)
-                            if wc:
-                                pows[3] = [(6, wc)]
-                            if wd4:
-                                pows[4] = [(6, wd4)]
-                            if wd5:
-                                pows[5] = [(6, wd5)]
-                            g = PcPresentation(3, 6, powers=pows,
-                                               commutators=comm)
-                            if g.is_consistent():
-                                survivors.append(
-                                    (((m1, m2, m4), wx, wy, wc, wd4, wd5), g))
+    for params in product(tpl.matrices, *grids):
+        g = build_instance(tpl, params[0], params[1:])
+        if g.is_consistent():
+            survivors.append((params, g))
     return survivors
 
 
@@ -284,164 +271,104 @@ def _span_table(pres, basis):
     words are dependent and the pair does not give a template frame.
     """
     p = pres.p
-    table = {}
-    if len(basis) == 2:
-        d4, d5 = basis
-        u = pres.identity
-        for i in range(p):
-            v = u
-            for j in range(p):
-                if v in table:
-                    return None
-                table[v] = (i, j)
-                v = pres.multiply(v, d5)
-            u = pres.multiply(u, d4)
-    else:
-        d4, d5, e = basis
-        u = pres.identity
-        for i in range(p):
-            v = u
-            for j in range(p):
-                w = v
-                for k in range(p):
-                    if w in table:
-                        return None
-                    table[w] = (i, j, k)
-                    w = pres.multiply(w, e)
-                v = pres.multiply(v, d5)
-            u = pres.multiply(u, d4)
-    return table
+    table = dict(zip(pres.products(basis),
+                     product(range(p), repeat=len(basis))))
+    return table if len(table) == p ** len(basis) else None
 
 
-def rebuild_rank5(pres, a, b):
-    """Parameter tuple of the rank-5 template on the pair (a, b).
+def read_frame(pres, a, b):
+    """Parameter tuple of the template on the pair (a, b), or None when
+    the pair gives no template frame.
 
-    Cubes of the pair may carry a component on c itself, so they are
-    solved over (c, d4, d5); everything else lives in the weight-3 span.
+    In rank 6 the deepest word e is normalized to the first nontrivial
+    coupling commutator, so tuples are invariant under rescaling it.
+    One span table over the frame words from the shallowest read on
+    gives every coordinate: each coupling commutator is read over e
+    alone, and each p-th power over the words from its read start on,
+    with no component below it.  A read over one word is its exponent.
     """
-    c = pres.commutator(b, a)
-    d4 = pres.commutator(c, a)
-    d5 = pres.commutator(c, b)
-    table = _span_table(pres, (d4, d5))
+    tpl = TEMPLATES[pres.n]
+    words = [None, a, b]
+    for j, i, _ in DEFINING:
+        words.append(pres.commutator(words[j], words[i]))
+    coupled = [pres.commutator(words[j], words[i])
+               for (j, i), *_ in tpl.couplings]
+    # e, in rank 6: the first nontrivial coupling commutator
+    words += [w for w in coupled if w != pres.identity][:1]
+    if len(words) <= tpl.n:
+        return None
+    base = min(tpl.reads)
+    table = _span_table(pres, words[base:])
     if table is None:
         return None
-    cinv = pres.inverse(c)
-
-    def ext(v):
-        w = v
-        for s in range(pres.p):
-            t = table.get(w)
-            if t is not None:
-                return (s,) + t
-            w = pres.multiply(cinv, w)
-        return None
-
-    pa = ext(pres.power(a, 3))
-    pb = ext(pres.power(b, 3))
-    if pa is None or pb is None:
-        return None
+    reads = chain(((w, tpl.n) for w in coupled),
+                  ((pres.power(words[i], pres.p), start)
+                   for i, start in enumerate(tpl.reads, start=1)))
     out = []
-    for v in (pres.power(c, 3), pres.power(d4, 3), pres.power(d5, 3)):
-        t = table.get(v)
-        if t is None:
-            return None
-        out.append(t)
-    return (pa, pb) + tuple(out)
-
-
-def rebuild_rank6(pres, a, b):
-    """Parameter tuple of the rank-6 template on the pair (a, b).
-
-    The deepest word is normalized to the first nontrivial coupling
-    commutator, so tuples are invariant under rescaling it.
-    """
-    c = pres.commutator(b, a)
-    d4 = pres.commutator(c, a)
-    d5 = pres.commutator(c, b)
-    e1 = pres.commutator(d4, a)
-    e2 = pres.commutator(d4, b)
-    e3 = pres.commutator(d5, b)
-    e = next((w for w in (e1, e2, e3) if w != pres.identity), None)
-    if e is None:
-        return None
-    table = _span_table(pres, (d4, d5, e))
-    if table is None:
-        return None
-    m = []
-    for w in (e1, e2, e3):
+    for w, start in reads:
         t = table.get(w)
-        if t is None or t[0] or t[1]:
+        if t is None or any(t[:start - base]):
             return None
-        m.append(t[2])
-    out = []
-    for v in (pres.power(a, 3), pres.power(b, 3), pres.power(c, 3),
-              pres.power(d4, 3), pres.power(d5, 3)):
-        t = table.get(v)
-        if t is None:
-            return None
-        out.append(t)
-    return tuple(m) + tuple(out)
+        t = t[start - base:]
+        out.append(t[0] if len(t) == 1 else t)
+    return tuple(out)
 
 
 def template_tuple(pres):
-    rebuild = rebuild_rank5 if pres.n == 5 else rebuild_rank6
-    t = rebuild(pres, pres.gen(1), pres.gen(2))
+    t = read_frame(pres, pres.gen(1), pres.gen(2))
     if t is None:
         raise AssertionError("template group does not rebuild on its "
                              "own defining pair")
     return t
 
 
-def has_pair_with_tuple(pres, target_tuple):
-    rebuild = rebuild_rank5 if pres.n == 5 else rebuild_rank6
+def pair_tuples(pres):
+    """Yield the frame read on every generating pair, the first member
+    over conjugacy class representatives."""
     pool = outside_frattini(pres)
     reps, _ = conjugacy_class_reps(pres, pool)
     p = pres.p
     for a in reps:
         pa = pool[a]
         for b, pb in pool.items():
-            if (pa[0] * pb[1] - pa[1] * pb[0]) % p == 0:
-                continue
-            if rebuild(pres, a, b) == target_tuple:
-                return True
-    return False
+            if (pa[0] * pb[1] - pa[1] * pb[0]) % p:
+                yield read_frame(pres, a, b)
 
 
-def isomorphic_templates(g, h):
-    return has_pair_with_tuple(h, template_tuple(g))
+def has_pair_with_tuple(pres, target_tuple):
+    return target_tuple in pair_tuples(pres)
 
 
-def reduce_census(survivors, log=lambda *a: None):
-    """Group survivors into isomorphism classes.
+def reduce_census(members, log):
+    """Group (invariant key, params, pres) members into isomorphism
+    classes.
 
-    Returns a list of (representative params, representative pres,
-    invariant key, member count).
+    Only members with equal keys are compared, since the key is an
+    isomorphism invariant.  A member joins the first class whose
+    representative has a pair reproducing its template tuple; each
+    representative's pair tuples are read once, into a set.  Returns
+    (representative params, representative pres, key, member count),
+    ordered by key and then by first appearance.
     """
     clusters = {}
-    for i, (params, g) in enumerate(survivors):
-        key = invariant_key(g)
+    for key, params, g in members:
         clusters.setdefault(key, []).append((params, g))
-        if (i + 1) % 500 == 0:
-            log(f"  invariants: {i + 1}/{len(survivors)}")
     classes = []
     for key in sorted(clusters):
-        members = clusters[key]
         reps = []
-        for params, g in members:
+        for params, g in clusters[key]:
             t = template_tuple(g)
-            matched = False
             for rep in reps:
-                if t == rep["tuple"] or has_pair_with_tuple(rep["pres"], t):
+                if t in rep["tuples"]:
                     rep["count"] += 1
-                    matched = True
                     break
-            if not matched:
-                reps.append({"params": params, "pres": g, "tuple": t,
-                             "count": 1})
-        log(f"  cluster {key}: {len(members)} presentations, "
+            else:
+                reps.append({"params": params, "pres": g, "count": 1,
+                             "tuples": set(pair_tuples(g))})
+        log(f"  cluster {key}: {len(clusters[key])} presentations, "
             f"{len(reps)} classes")
-        for rep in reps:
-            classes.append((rep["params"], rep["pres"], key, rep["count"]))
+        classes.extend((rep["params"], rep["pres"], key, rep["count"])
+                       for rep in reps)
     return classes
 
 
@@ -520,19 +447,28 @@ def run_five_suite(out_dir, log):
     return written
 
 
+def is_beauville(g):
+    """The exhaustive search's verdict; an inconclusive one is an error."""
+    verdict = exhaustive_beauville(g)
+    if verdict.status not in ("found", "refuted"):
+        raise AssertionError(f"exhaustive search inconclusive: {verdict}")
+    return verdict.status == "found"
+
+
 def run_rank5_suite(out_dir, log):
+    """Census at order 3^5: reduce every survivor up to isomorphism,
+    then decide each class."""
     t0 = time.time()
-    survivors = sweep_rank5()
+    survivors = sweep(RANK5)
     log(f"  rank-5 sweep: {len(survivors)} consistent presentations "
         f"({time.time() - t0:.1f}s)")
-    classes = reduce_census(survivors, log)
-    log(f"  rank-5 census: {len(classes)} isomorphism classes")
-    decided = []
-    for params, g, key, count in classes:
-        verdict = exhaustive_beauville(g)
-        if verdict.status not in ("found", "refuted"):
-            raise AssertionError(f"exhaustive search inconclusive: {verdict}")
-        decided.append((params, g, key, count, verdict.status == "found"))
+    t0 = time.time()
+    classes = reduce_census(
+        [(invariant_key(g), params, g) for params, g in survivors], log)
+    log(f"  rank-5 census: {len(classes)} isomorphism classes "
+        f"({time.time() - t0:.1f}s)")
+    decided = [(params, g, key, count, is_beauville(g))
+               for params, g, key, count in classes]
     positives = [d for d in decided if d[4]]
     if len(positives) != 1:
         raise AssertionError(
@@ -577,7 +513,7 @@ def run_rank6_suite(out_dir, log):
     pairwise non-isomorphic without any pair-search cost.
     """
     t0 = time.time()
-    survivors = sweep_rank6()
+    survivors = sweep(RANK6)
     log(f"  rank-6 sweep: {len(survivors)} consistent presentations "
         f"({time.time() - t0:.1f}s)")
     t0 = time.time()
@@ -597,16 +533,13 @@ def run_rank6_suite(out_dir, log):
     decided = []
     for idx, (params, g, key, thin, zc) in enumerate(needs_verdict,
                                                      start=1):
-        verdict = exhaustive_beauville(g)
-        if verdict.status not in ("found", "refuted"):
-            raise AssertionError(f"exhaustive search inconclusive: {verdict}")
-        decided.append((params, g, key, thin, zc,
-                        verdict.status == "found"))
+        decided.append((params, g, key, thin, zc, is_beauville(g)))
         if idx % 25 == 0:
             log(f"  verdicts: {idx}/{len(needs_verdict)} "
                 f"({time.time() - t0:.1f}s)")
-    thin_pos = sorted((d for d in decided if d[3] and d[5]),
-                      key=lambda d: (d[2], d[0]))
+    thin_pos = [(key, params, g)
+                for params, g, key, thin, zc, found in decided
+                if thin and found]
     nonthin_pos = sorted((d for d in decided if not d[3] and d[5]),
                          key=lambda d: (d[2], d[0]))
     log(f"  positives: {len(thin_pos)} thin instances, "
@@ -615,19 +548,7 @@ def run_rank6_suite(out_dir, log):
     if not nonthin_pos:
         raise AssertionError("no non-thin Beauville instance at order 3^6")
     t0 = time.time()
-    classes = []
-    for d in thin_pos:
-        order = sorted(range(len(classes)),
-                       key=lambda i: classes[i][0][2] != d[2])
-        placed = False
-        for i in order:
-            rep = classes[i][0]
-            if has_pair_with_tuple(d[1], template_tuple(rep[1])):
-                classes[i].append(d)
-                placed = True
-                break
-        if not placed:
-            classes.append([d])
+    classes = reduce_census(thin_pos, log)
     log(f"  thin positives: {len(classes)} isomorphism classes "
         f"({time.time() - t0:.1f}s)")
     if len(classes) != 2:
@@ -635,13 +556,13 @@ def run_rank6_suite(out_dir, log):
             f"expected exactly two thin Beauville classes at order 3^6, "
             f"found {len(classes)}")
     written = []
-    # Stable assignment of the two standard library indices: order the
-    # classes by invariant fingerprint, then parameter tuple.  The set is
+    # Stable assignment of the two standard library indices: the classes
+    # come ordered by invariant fingerprint, then parameter tuple, as the
+    # sweep yields its survivors in parameter order.  The set is
     # engine-certain; which class carries which index is a fixed
     # convention.
-    classes.sort(key=lambda members: (members[0][2], members[0][0]))
-    for entry_id, members in zip(("sg-3_6-34", "sg-3_6-37"), classes):
-        params, g = members[0][0], members[0][1]
+    for entry_id, (params, g, key, count) in zip(("sg-3_6-34", "sg-3_6-37"),
+                                                 classes):
         provenance = ("rank-6 template census (python tools/build_catalog.py "
                       "--suite p3): sweep of the template's pruned power "
                       "grid; one of the two thin Beauville classes of order "
@@ -649,8 +570,7 @@ def run_rank6_suite(out_dir, log):
                       "generating-pair matching; index assignment between "
                       "the two follows a fixed ordering convention")
         write_entry(out_dir, entry_id, g, provenance, True)
-        log(f"  {entry_id}: {len(members)} census instances, "
-            f"params {params}")
+        log(f"  {entry_id}: {count} census instances, params {params}")
         written.append(entry_id)
     params, g, key, thin, zc, found = nonthin_pos[0]
     provenance = ("rank-6 template census (python tools/build_catalog.py "
@@ -660,16 +580,12 @@ def run_rank6_suite(out_dir, log):
     log(f"  sg-3_6-40: {len(nonthin_pos)} census instances, "
         f"params {params}")
     written.append("sg-3_6-40")
-    seen_keys = set()
-    thin_neg = []
+    thin_neg = {}
     for d in sorted((d for d in decided if d[3] and not d[5]),
                     key=lambda d: (d[2], d[0])):
-        if d[2] in seen_keys:
-            continue
-        seen_keys.add(d[2])
-        thin_neg.append(d)
-    for idx, (params, g, key, thin, zc, found) in enumerate(thin_neg,
-                                                            start=1):
+        thin_neg.setdefault(d[2], d)
+    for idx, (params, g, key, thin, zc, found) in enumerate(
+            thin_neg.values(), start=1):
         entry_id = f"thin36-n{idx}"
         provenance = ("rank-6 template census (python tools/build_catalog.py "
                       "--suite p3): thin non-Beauville representative, one "
@@ -691,6 +607,7 @@ def main(argv=None):
     def log(msg):
         print(msg, flush=True)
 
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     summary = {}
     t0 = time.time()
     if args.suite in ("p5", "all"):
