@@ -36,6 +36,7 @@ from .structure import (
     is_maximal_class,
     is_metabelian,
     is_thin,
+    line_key,
     maximal_has_exponent_p,
     maximal_subgroup_of,
     nilpotency_class,
@@ -46,18 +47,6 @@ from .structure import (
 
 # ----------------------------------------------------------------------
 # socle lines and fingerprints
-
-def line_key(pres, v):
-    """Canonical label of the order-p subgroup generated by a nontrivial
-    v: the least of v, v^2, ..., v^(p-1).  That is v^k for k the inverse
-    mod p of v's leading exponent a: with l the leading index, the layer
-    G_l/G_(l+1) has order p, so v^j leads at l with exponent j*a mod p,
-    and only v^k leads with exponent 1.  A label leads with 1, and so do
-    its conjugates, as the presentation refines a central series: on
-    them the label costs no multiply."""
-    a = next(e for e in v if e)
-    return v if a == 1 else pres.power(v, pow(a, -1, pres.p))
-
 
 def socle_key(pres, a):
     """Label of the unique order-p subgroup of a nontrivial cyclic

@@ -300,32 +300,33 @@ def analyze(entry: CatalogEntry, mode: str = "auto",
     )
 
 
+def _certificate_walk(pres, cert):
+    """(name, (x, y, xy), their orders, fingerprint size) for each pair."""
+    for name, (x, y), socles in (
+            ("first", cert.first_pair, cert.first_socles),
+            ("second", cert.second_pair, cert.second_socles)):
+        triple = (x, y, pres.multiply(x, y))
+        yield (name, triple, [pres.element_order(v) for v in triple],
+               len(socles))
+
+
 def certificate_lines(pres, cert):
     """Human-readable certificate block: triples, orders, summary sizes."""
     out = []
-    for name, pair, socles in (("first", cert.first_pair, cert.first_socles),
-                               ("second", cert.second_pair,
-                                cert.second_socles)):
-        x, y = pair
-        triple = (x, y, pres.multiply(x, y))
+    for name, triple, orders, size in _certificate_walk(pres, cert):
         out.append(f"{name}-triple: " + "  ".join(str(v) for v in triple))
-        out.append(f"{name}-orders: " + " ".join(
-            str(pres.element_order(v)) for v in triple))
-        out.append(f"{name}-fingerprint-size: {len(socles)}")
+        out.append(f"{name}-orders: " + " ".join(str(o) for o in orders))
+        out.append(f"{name}-fingerprint-size: {size}")
     return out
 
 
 def certificate_kv(pres, cert):
     out = {}
-    for name, pair, socles in (("first", cert.first_pair, cert.first_socles),
-                               ("second", cert.second_pair,
-                                cert.second_socles)):
-        x, y = pair
-        triple = (x, y, pres.multiply(x, y))
-        for label, v in zip(("x", "y", "xy"), triple):
+    for name, triple, orders, size in _certificate_walk(pres, cert):
+        for label, v, order in zip(("x", "y", "xy"), triple, orders):
             out[f"certificate.{name}.{label}"] = ",".join(str(e) for e in v)
-            out[f"certificate.{name}.{label}.order"] = pres.element_order(v)
-        out[f"certificate.{name}.fingerprint_size"] = len(socles)
+            out[f"certificate.{name}.{label}.order"] = order
+        out[f"certificate.{name}.fingerprint_size"] = size
     return out
 
 

@@ -27,6 +27,7 @@ from .structure import (
     gamma,
     is_metabelian,
     is_thin,
+    line_key,
     nilpotency_class,
 )
 
@@ -284,12 +285,12 @@ def _power_coords(pres, modulus, tail_y, tail_x, xp, yp):
 
 def power_class_key(pres, vec, modulus):
     """Canonical label of the cyclic subgroup generated by vec modulo
-    the given normal subgroup; None when vec falls inside it."""
+    the given normal subgroup, None when vec falls inside it: the least
+    representative of vec, ..., vec^(p-1), the one line_key picks."""
     rep = canonical_coset_rep(pres, modulus, vec)
     if rep == pres.identity:
         return None
-    return min(canonical_coset_rep(pres, modulus, pres.power(vec, s))
-               for s in range(1, pres.p))
+    return canonical_coset_rep(pres, modulus, line_key(pres, rep))
 
 
 def maximal_power_classes(pres, modulus=None):

@@ -3,11 +3,15 @@
 Subgroups are carried as echelonized induced generating sequences: the
 basis elements have strictly increasing leading generator indices,
 leading exponent 1, and zero entries at every other basis lead.  That
-form is canonical, so subgroup equality is basis equality and the
-membership sieve is exact.  All closures (generated subgroup, normal
-closure) run a queue that keeps the product set closed under p-th
-powers, commutators, and, for normal closures, conjugation by the
-presentation generators.
+form is canonical, so subgroup equality is basis equality.  One
+reduction, _reduce, zeroes an element at the leads by right
+multiplication with basis powers: it decides membership, gives
+canonical_coset_rep, and is each closure step, which adjoins what it
+leaves, scaled to leading exponent 1 by line_key.  All closures
+(generated subgroup, normal closure) run a queue that keeps the product
+set closed under p-th powers, commutators, and, for normal closures,
+conjugation by the presentation generators.  One decorator, _memo,
+keeps each invariant of a presentation in pres.cache.
 
 Every p-th power question (agemo, omega1, exponent and so the
 exponent-p maximal subgroups, and the omega criterion's order-p scan)
@@ -35,6 +39,7 @@ BudgetExceededError rather than letting it return a partial answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -73,17 +78,55 @@ def _leading(vec):
     return None
 
 
-def _sift(pres, leadmap, u):
-    """Reduce u by the elements of leadmap (lead index -> element with
-    leading exponent 1); the identity comes back exactly when u lies in
-    the subgroup they generate as an induced sequence."""
-    while u != pres.identity:
-        l = _leading(u)
-        b = leadmap.get(l)
-        if b is None:
-            return u
-        u = pres.multiply(pres.power(b, -u[l - 1]), u)
-    return u
+def _memo(fn):
+    """fn(pres, ...) computed once per presentation and kept in
+    pres.cache under fn's name.  The other arguments (a budget) only
+    gate that first computation; a raised error stores nothing."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memoized(pres, *args, **kwargs):
+        cache = pres.cache
+        if name not in cache:
+            cache[name] = fn(pres, *args, **kwargs)
+        return cache[name]
+    return memoized
+
+
+def line_key(pres, v):
+    """Canonical label of the order-p subgroup generated by a nontrivial
+    v: the least of v, v^2, ..., v^(p-1).  That is v^k for k the inverse
+    mod p of v's leading exponent a: with l the leading index, the layer
+    G_l/G_(l+1) has order p, so v^j leads at l with exponent j*a mod p,
+    and only v^k leads with exponent 1.  A label leads with 1, and so do
+    its conjugates, as the presentation refines a central series: on
+    them the label costs no multiply."""
+    a = next(e for e in v if e)
+    return v if a == 1 else pres.power(v, pow(a, -1, pres.p))
+
+
+def _reduce(pres, leadmap, vec):
+    """vec times powers of leadmap's elements (lead -> element leading
+    with exponent 1), lead by lead upward, until vec is zero at every
+    lead.  For an induced sequence of H, the unique element of vec*H zero
+    at H's leads: the identity exactly when vec lies in H."""
+    p = pres.p
+    for l in sorted(leadmap):
+        e = vec[l - 1]
+        if e:
+            vec = pres.multiply(vec, pres.power(leadmap[l], p - e))
+    return vec
+
+
+def _adjoin(pres, slots, u):
+    """u reduced by slots and scaled to leading exponent 1, stored under
+    its lead; None, and nothing stored, when u reduces to the identity."""
+    u = _reduce(pres, slots, u)
+    if u == pres.identity:
+        return None
+    b = line_key(pres, u)
+    slots[_leading(b)] = b
+    return b
 
 
 def _basis_product(pres, basis, exps):
@@ -128,7 +171,7 @@ class Subgroup:
         return hash(self.basis)
 
     def __contains__(self, vec):
-        return _sift(self.pres, self._leadmap, vec) == self.pres.identity
+        return _reduce(self.pres, self._leadmap, vec) == self.pres.identity
 
     def contains_subgroup(self, other) -> bool:
         return all(b in self for b in other.basis)
@@ -142,70 +185,46 @@ class Subgroup:
         return _basis_product(self.pres, self.basis, exps)
 
 
-class _Closure:
-    def __init__(self, pres, normal):
-        self.pres = pres
-        self.normal = normal
-        self.slots = {}
-        self.queue = []
-
-    def run(self, gens):
-        P = self.pres
-        self.queue.extend(gens)
-        while self.queue:
-            u = _sift(P, self.slots, self.queue.pop())
-            if u == P.identity:
-                continue
-            l = _leading(u)
-            b = P.power(u, pow(u[l - 1], -1, P.p))
-            self.slots[l] = b
-            self.queue.append(P.power(b, P.p))
-            # commutator obligations: [other, b] = [b, other]^-1 lies in
-            # the closed subgroup once [b, other] does
-            for other in list(self.slots.values()):
-                if other is not b:
-                    self.queue.append(P.commutator(b, other))
-            if self.normal:
-                for g in P.gens():
-                    self.queue.append(P.conjugate(b, g))
-        return _echelon(P, self.slots)
+def _closure(pres, gens, normal):
+    pres.ensure_consistent()
+    slots, queue = {}, list(gens)
+    while queue:
+        b = _adjoin(pres, slots, queue.pop())
+        if b is None:
+            continue
+        queue.append(pres.power(b, pres.p))
+        # commutator obligations: [other, b] = [b, other]^-1 lies in the
+        # closed subgroup once [b, other] does
+        queue.extend(pres.commutator(b, other)
+                     for other in slots.values() if other is not b)
+        if normal:
+            queue.extend(pres.conjugate(b, g) for g in pres.gens())
+    return Subgroup(pres, _echelon(pres, slots))
 
 
 def _echelon(pres, slots):
     """The canonical basis of the subgroup with induced sequence slots
     (lead index -> element with leading exponent 1)."""
     leads = sorted(slots)
-    out = []
-    for l in leads:
-        b = slots[l]
-        for l2 in leads:
-            if l2 > l and b[l2 - 1]:
-                b = pres.multiply(b, pres.power(slots[l2], pres.p - b[l2 - 1]))
-        out.append(b)
-    return out
+    return [_reduce(pres, {k: slots[k] for k in leads[i + 1:]}, slots[l])
+            for i, l in enumerate(leads)]
 
 
 def generated_subgroup(pres, gens) -> Subgroup:
-    pres.ensure_consistent()
-    closure = _Closure(pres, normal=False)
-    return Subgroup(pres, closure.run(list(gens)))
+    return _closure(pres, gens, normal=False)
 
 
 def normal_closure(pres, gens) -> Subgroup:
-    pres.ensure_consistent()
-    closure = _Closure(pres, normal=True)
-    return Subgroup(pres, closure.run(list(gens)))
+    return _closure(pres, gens, normal=True)
 
 
 def trivial_subgroup(pres) -> Subgroup:
     return Subgroup(pres, ())
 
 
+@_memo
 def whole_group(pres) -> Subgroup:
-    cache = pres.cache
-    if "whole" not in cache:
-        cache["whole"] = generated_subgroup(pres, pres.gens())
-    return cache["whole"]
+    return generated_subgroup(pres, pres.gens())
 
 
 def subgroup_join(pres, a, b) -> Subgroup:
@@ -248,8 +267,8 @@ def conjugacy_orbit(pres, v, label=None, budget=None):
 
     The presentation refines a central series, so with l the leading
     index of v every conjugate of v lies in v<g_{l+1}, ..., g_n> (and so
-    does every label of beauville.line_key); the budget is checked on
-    that coset's size, p^(n-l), before the search starts."""
+    does every label of line_key); the budget is checked on that coset's
+    size, p^(n-l), before the search starts."""
     check_budget(pres.p ** (pres.n - (_leading(v) or pres.n)), budget,
                  "conjugacy orbit search needs up to {} elements")
     gens = pres.gens()
@@ -285,12 +304,7 @@ def conjugacy_class_reps(pres, pool, budget=None):
 
 def canonical_coset_rep(pres, sub, vec):
     """The unique element of vec*sub with zeros at the basis leads."""
-    for b in sub.basis:
-        l = _leading(b)
-        e = vec[l - 1]
-        if e:
-            vec = pres.multiply(vec, pres.power(b, pres.p - e))
-    return vec
+    return _reduce(pres, sub._leadmap, vec)
 
 
 def quotient_presentation(pres, sub):
@@ -345,22 +359,20 @@ class CentralSeries:
     widths: list              # log_p indices between consecutive terms
 
 
+@_memo
 def lower_central_series(pres) -> CentralSeries:
-    cache = pres.cache
-    if "lcs" not in cache:
-        terms = [whole_group(pres)]
-        while terms[-1].log_order > 0:
-            current = terms[-1]
-            gens = [pres.commutator(b, g)
-                    for b in current.basis for g in pres.gens()]
-            nxt = normal_closure(pres, gens)
-            if nxt.log_order >= current.log_order:
-                raise AssertionError("lower central series failed to descend")
-            terms.append(nxt)
-        widths = [terms[i].log_order - terms[i + 1].log_order
-                  for i in range(len(terms) - 1)]
-        cache["lcs"] = CentralSeries("lower", terms, widths)
-    return cache["lcs"]
+    terms = [whole_group(pres)]
+    while terms[-1].log_order > 0:
+        current = terms[-1]
+        gens = [pres.commutator(b, g)
+                for b in current.basis for g in pres.gens()]
+        nxt = normal_closure(pres, gens)
+        if nxt.log_order >= current.log_order:
+            raise AssertionError("lower central series failed to descend")
+        terms.append(nxt)
+    widths = [terms[i].log_order - terms[i + 1].log_order
+              for i in range(len(terms) - 1)]
+    return CentralSeries("lower", terms, widths)
 
 
 def gamma(pres, i) -> Subgroup:
@@ -375,13 +387,11 @@ def nilpotency_class(pres) -> int:
     return len(lower_central_series(pres).terms) - 1
 
 
+@_memo
 def derived_subgroup(pres) -> Subgroup:
-    cache = pres.cache
-    if "derived" not in cache:
-        gens = [pres.commutator(pres.gen(j), pres.gen(i))
-                for j in range(2, pres.n + 1) for i in range(1, j)]
-        cache["derived"] = normal_closure(pres, gens)
-    return cache["derived"]
+    gens = [pres.commutator(pres.gen(j), pres.gen(i))
+            for j in range(2, pres.n + 1) for i in range(1, j)]
+    return normal_closure(pres, gens)
 
 
 def _left_nullspace(rows, p):
@@ -411,10 +421,8 @@ def _left_nullspace(rows, p):
     return [row[m:] for row in aug[pivot_row:]]
 
 
+@_memo
 def center(pres) -> Subgroup:
-    cache = pres.cache
-    if "center" in cache:
-        return cache["center"]
     pres.ensure_consistent()
     C = whole_group(pres)
     # refine coordinate by coordinate: after step t, [C, G] vanishes on
@@ -431,62 +439,55 @@ def center(pres) -> Subgroup:
         gens.extend(pres.commutator(C.basis[i], C.basis[j])
                     for i in range(len(C.basis)) for j in range(i + 1, len(C.basis)))
         C = generated_subgroup(pres, gens)
-    cache["center"] = C
     return C
 
 
+@_memo
 def upper_central_series(pres) -> CentralSeries:
-    cache = pres.cache
-    if "ucs" not in cache:
-        whole = whole_group(pres)
-        terms = [trivial_subgroup(pres)]
-        current = terms[0]
-        while current != whole:
-            if current.log_order == 0:
-                bigger = center(pres)
-            else:
-                quotient, project, lift = quotient_presentation(pres, current)
-                zq = center(quotient)
-                bigger = generated_subgroup(
-                    pres, [lift(b) for b in zq.basis] + list(current.basis))
-            if bigger.log_order <= current.log_order:
-                raise AssertionError("upper central series failed to ascend")
-            terms.append(bigger)
-            current = bigger
-        widths = [terms[i + 1].log_order - terms[i].log_order
-                  for i in range(len(terms) - 1)]
-        cache["ucs"] = CentralSeries("upper", terms, widths)
-    return cache["ucs"]
+    whole = whole_group(pres)
+    terms = [trivial_subgroup(pres)]
+    current = terms[0]
+    while current != whole:
+        if current.log_order == 0:
+            bigger = center(pres)
+        else:
+            quotient, project, lift = quotient_presentation(pres, current)
+            zq = center(quotient)
+            bigger = generated_subgroup(
+                pres, [lift(b) for b in zq.basis] + list(current.basis))
+        if bigger.log_order <= current.log_order:
+            raise AssertionError("upper central series failed to ascend")
+        terms.append(bigger)
+        current = bigger
+    widths = [terms[i + 1].log_order - terms[i].log_order
+              for i in range(len(terms) - 1)]
+    return CentralSeries("upper", terms, widths)
 
 
 # ----------------------------------------------------------------------
 # agemo, omega, exponent, Frattini
 
+@_memo
 def frattini(pres) -> Subgroup:
-    cache = pres.cache
-    if "frattini" not in cache:
-        gens = list(derived_subgroup(pres).basis)
-        gens.extend(pres.power(g, pres.p) for g in pres.gens())
-        cache["frattini"] = generated_subgroup(pres, gens)
-    return cache["frattini"]
+    gens = list(derived_subgroup(pres).basis)
+    gens.extend(pres.power(g, pres.p) for g in pres.gens())
+    return generated_subgroup(pres, gens)
 
 
+@_memo
 def frattini_quotient(pres):
     """(quotient presentation of G/Frattini, project, lift).  G/Frattini
     is elementary abelian, so project is linear: a normal form maps to
     the sum of its exponents times the generators' images, mod p."""
-    cache = pres.cache
-    if "frattini-quotient" not in cache:
-        quotient, project, lift = quotient_presentation(pres, frattini(pres))
-        p, r = pres.p, quotient.n
-        images = [project(g) for g in pres.gens()]
+    quotient, project, lift = quotient_presentation(pres, frattini(pres))
+    p, r = pres.p, quotient.n
+    images = [project(g) for g in pres.gens()]
 
-        def linear(vec):
-            return tuple(sum(e * image[k] for e, image in zip(vec, images))
-                         % p for k in range(r))
+    def linear(vec):
+        return tuple(sum(e * image[k] for e, image in zip(vec, images))
+                     % p for k in range(r))
 
-        cache["frattini-quotient"] = (quotient, linear, lift)
-    return cache["frattini-quotient"]
+    return quotient, linear, lift
 
 
 def _coset_sweep(pres, sub, budget):
@@ -523,24 +524,21 @@ def _coset_sweep(pres, sub, budget):
                              if _leading(b) not in leads])
 
 
+@_memo
 def agemo(pres, budget=None) -> Subgroup:
     """The subgroup generated by all p-th powers: by the p-th powers of
     the generators when G has class below p and gamma_2 has exponent p
     (x -> x^p is then a homomorphism, see the module docstring), else of
     one transversal modulo the Hall-Petrescu term of _coset_sweep."""
-    cache = pres.cache
-    if "agemo" not in cache:
-        # gamma_2 has class below p, so it is regular and has exponent p
-        # as soon as its basis does
-        if nilpotency_class(pres) < pres.p and all(
-                pres.power(b, pres.p) == pres.identity
-                for b in gamma(pres, 2).basis):
-            reps = pres.gens()
-        else:
-            _, reps = _coset_sweep(pres, whole_group(pres), budget)
-        cache["agemo"] = generated_subgroup(
-            pres, {pres.power(r, pres.p) for r in reps})
-    return cache["agemo"]
+    # gamma_2 has class below p, so it is regular and has exponent p as
+    # soon as its basis does
+    if nilpotency_class(pres) < pres.p and all(
+            pres.power(b, pres.p) == pres.identity
+            for b in gamma(pres, 2).basis):
+        reps = pres.gens()
+    else:
+        _, reps = _coset_sweep(pres, whole_group(pres), budget)
+    return generated_subgroup(pres, {pres.power(r, pres.p) for r in reps})
 
 
 def omega1(pres, budget=None) -> Subgroup:
@@ -566,13 +564,11 @@ def exponent(pres, sub, budget=None) -> int:
                pres.p if N.log_order else 1)
 
 
+@_memo
 def maximal_subgroups(pres, budget=None):
     """Index-p subgroups, ordered by their direction in G/Frattini; the
     budget is checked on their number, (p^r - 1)/(p - 1) for G/Frattini
     of rank r."""
-    cache = pres.cache
-    if "maximals" in cache:
-        return cache["maximals"]
     quotient, project, lift = frattini_quotient(pres)
     p, r = pres.p, quotient.n
     check_budget((p ** r - 1) // (p - 1), budget,
@@ -585,17 +581,13 @@ def maximal_subgroups(pres, budget=None):
         span = ([direction] if r == 2
                 else _left_nullspace([[d] for d in direction], p))
         # Phi is normal and M/Phi elementary abelian, so Phi holds every
-        # p-th power and commutator of the lifts: sifting each lift into
+        # p-th power and commutator of the lifts: adjoining each lift to
         # Phi's induced sequence gives one of M, with no closure
         slots = dict(phi._leadmap)
         for v in span:
-            u = _sift(pres, slots, lift(v))
-            l = _leading(u)
-            slots[l] = pres.power(u, pow(u[l - 1], -1, p))
+            _adjoin(pres, slots, lift(v))
         out.append((direction, Subgroup(pres, _echelon(pres, slots))))
-    maximals = [sub for _, sub in sorted(out, key=lambda t: t[0])]
-    cache["maximals"] = maximals
-    return maximals
+    return [sub for _, sub in sorted(out, key=lambda t: t[0])]
 
 
 def _projective_points(p, r):
@@ -613,11 +605,9 @@ def maximal_subgroup_of(pres, vec) -> list:
 # ----------------------------------------------------------------------
 # predicates
 
+@_memo
 def is_metabelian(pres) -> bool:
-    cache = pres.cache
-    if "metabelian" not in cache:
-        cache["metabelian"] = is_abelian_subgroup(pres, derived_subgroup(pres))
-    return cache["metabelian"]
+    return is_abelian_subgroup(pres, derived_subgroup(pres))
 
 
 def is_maximal_class(pres) -> bool:
@@ -639,18 +629,10 @@ class ThinReport:
         return self.thin
 
 
+@_memo
 def is_thin(pres, budget=None) -> ThinReport:
     """Sandwich test: every normal subgroup between consecutive lower
     central terms, and every layer of width at most p^2."""
-    cache = pres.cache
-    if "thin" in cache:
-        return cache["thin"]
-    result = _is_thin_impl(pres, budget)
-    cache["thin"] = result
-    return result
-
-
-def _is_thin_impl(pres, budget):
     quotient, project, lift = frattini_quotient(pres)
     if quotient.n < 2:
         return ThinReport(False, witness_kind="cyclic")
@@ -663,9 +645,8 @@ def _is_thin_impl(pres, budget):
     for i in range(1, c):
         upper = series.terms[i - 1]
         target = series.terms[i]
-        deeper = series.terms[i + 1] if i + 1 < len(series.terms) else trivial_subgroup(pres)
-        ok, bad = _covering_holds_on_layer(pres, upper, target, deeper,
-                                           budget)
+        ok, bad = _covering_holds_on_layer(pres, upper, target,
+                                           gamma(pres, i + 2), budget)
         if ok:
             continue
         # verify a genuine sandwich violation before answering no
@@ -895,7 +876,7 @@ def covering_property_check(pres, rng, samples_per_layer=3) -> bool:
     for i in range(1, len(series.terms)):
         upper = series.terms[i - 1]
         target = series.terms[i]
-        deeper = series.terms[i + 1] if i + 1 < len(series.terms) else trivial_subgroup(pres)
+        deeper = gamma(pres, i + 2)
         if upper.log_order == target.log_order:
             continue
         for _ in range(samples_per_layer):
@@ -912,14 +893,11 @@ def covering_property_check(pres, rng, samples_per_layer=3) -> bool:
 # ----------------------------------------------------------------------
 # exponent-p maximal subgroups
 
+@_memo
 def exponent_p_maximal_count(pres, budget=None) -> int:
     """How many maximal subgroups have exponent p."""
-    cache = pres.cache
-    if "exp-p-maximals" not in cache:
-        cache["exp-p-maximals"] = sum(
-            1 for sub in maximal_subgroups(pres, budget)
-            if maximal_has_exponent_p(pres, sub, budget))
-    return cache["exp-p-maximals"]
+    return sum(1 for sub in maximal_subgroups(pres, budget)
+               if maximal_has_exponent_p(pres, sub, budget))
 
 
 def maximal_has_exponent_p(pres, sub, budget=None) -> bool:

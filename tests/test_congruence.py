@@ -29,7 +29,8 @@ from thinville.congruence import (
     smallest_nonresidue,
     verify_quadratic_pair,
 )
-from thinville.structure import gamma, trivial_subgroup
+from thinville.catalog import resolve
+from thinville.structure import canonical_coset_rep, gamma, trivial_subgroup
 
 from test_pc_core import UnitriangularModel
 
@@ -164,6 +165,30 @@ def test_power_class_key_scalar_invariance(h5):
     assert power_class_key(h5, h5.gen(1), triv) != \
         power_class_key(h5, h5.gen(2), triv)
     assert power_class_key(h5, h5.identity, triv) is None
+
+
+def least_power_class(pres, vec, modulus):
+    """The least coset representative of vec, vec^2, ..., vec^(p-1), or
+    None when vec lies in the modulus."""
+    if canonical_coset_rep(pres, modulus, vec) == pres.identity:
+        return None
+    return min(canonical_coset_rep(pres, modulus, pres.power(vec, s))
+               for s in range(1, pres.p))
+
+
+@pytest.mark.parametrize("target", [
+    "heisenberg-5", "thin5-c5-A1", "thin5-c5-A3", "thin5-c5-A4neg",
+    "thin5-c5-A4pos", "thin5-c6-A2"])
+def test_power_class_key_is_the_least_power(target):
+    pres = resolve(target).presentation
+    modulus = (trivial_subgroup(pres) if target == "heisenberg-5"
+               else gamma(pres, pres.p + 1))
+    rng = random.Random(target)
+    samples = [pres.identity] + list(modulus.basis) + [
+        random_element(pres, rng) for _ in range(150)]
+    for v in samples:
+        assert power_class_key(pres, v, modulus) == \
+            least_power_class(pres, v, modulus)
 
 
 def test_maximal_power_classes_h5(h5):

@@ -6,6 +6,9 @@ tools/, must do its arithmetic through PcPresentation's public methods;
 none may read an underscore attribute of a presentation or reach into
 its __dict__.
 
+Invariants are memoized in one place: outside structure._memo and the
+three keyed caches, no function of the engine touches pres.cache.
+
 The budget is one contract: only structure.check_budget resolves a
 budget and raises BudgetExceededError, only beauville.beauville turns
 it into a verdict, and only cli.main turns what escapes into an exit
@@ -91,3 +94,27 @@ def test_one_budget_contract():
                         f"in {owner or 'module level'}")
     assert not hits, "budget handled outside the contract:\n" + \
         "\n".join(hits)
+
+
+def test_one_memo():
+    owners = {("structure.py", "_memo"),
+              ("structure.py", "quotient_presentation"),
+              ("structure.py", "_coset_sweep"),
+              ("beauville.py", "_socle_orbit"),
+              ("pcgroup.py", "__init__")}
+    files = sorted((ROOT / "src" / "thinville").glob("*.py"))
+    assert {"structure.py", "pcgroup.py"} <= {f.name for f in files}
+    hits = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node, owner in _in_functions(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and (path.name, owner) in owners:
+                allowed.update(id(n) for n in ast.walk(node))
+        for node, owner in _in_functions(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "cache" \
+                    and id(node) not in allowed:
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                            f".cache in {owner or 'module level'}")
+    assert not hits, "cache handled outside _memo:\n" + "\n".join(hits)

@@ -216,12 +216,19 @@ def test_elements_iteration_counts(ut43):
     assert len(set(seen)) == sub.order
 
 
-def test_coset_reps_partition(h5):
-    sub = normal_closure(h5, [h5.gen(3)])
-    reps = {canonical_coset_rep(h5, sub, v) for v in h5.elements()}
-    assert len(reps) == h5.order // sub.order
-    for r in reps:
-        assert all(r[l - 1] == 0 for l in sub.leads)
+def test_coset_reps_partition(h5, ut43):
+    # a normal subgroup, and one that is not normal
+    cases = [(h5, normal_closure(h5, [h5.gen(3)])),
+             (ut43, generated_subgroup(ut43, [ut43.gen(1), ut43.gen(4)]))]
+    assert not is_normal(*cases[1])
+    for pres, sub in cases:
+        reps = {canonical_coset_rep(pres, sub, v) for v in pres.elements()}
+        assert len(reps) == pres.order // sub.order
+        for r in reps:
+            assert all(r[l - 1] == 0 for l in sub.leads)
+        for v in pres.elements():
+            r = canonical_coset_rep(pres, sub, v)
+            assert pres.multiply(pres.inverse(v), r) in sub
 
 
 # ----------------------------------------------------------------------
@@ -721,6 +728,17 @@ def test_budget_exceeded(ut43):
         omega1(ut43, budget=10)
     with pytest.raises(BudgetExceededError):
         exponent(ut43, whole_group(ut43), budget=10)
+
+
+def test_memo_stores_nothing_on_a_budget_overrun():
+    pres = UnitriangularModel(4, 3).presentation
+    with pytest.raises(BudgetExceededError):
+        agemo(pres, budget=1)
+    assert "agemo" not in pres.cache
+    want = agemo(pres)
+    assert want.order == 3
+    # the budget gates only the first computation
+    assert agemo(pres, budget=1) is want
 
 
 def test_abelian_detection(h5, c25c25):

@@ -501,14 +501,11 @@ def run_rank6_suite(out_dir, log):
     """Census at order 3^6.
 
     A cheap pass tags every consistent template instance with its
-    invariant fingerprint, width profile, and center order.  Exhaustive
-    verdicts then run only where a shipped claim depends on them: all
-    thin instances (both sides of the census ship) and the non-thin
-    instances with center of order 9 (the one non-thin entry that
-    ships).  Non-thin instances with a larger center carry no claim and
-    are the slowest to refute, so they get no verdict.  Isomorphism
-    reduction is applied only to the search-positive thin side, which
-    must split into exactly two classes.  Refuted instances ship one
+    invariant fingerprint and thinness, and every instance then gets an
+    exhaustive verdict: both sides of the thin census ship, and so does
+    one non-thin positive (center of order 9).  Isomorphism reduction
+    is applied only to the search-positive thin side, which must split
+    into exactly two classes.  Refuted instances ship one
     per distinct invariant fingerprint, so the shipped negatives are
     pairwise non-isomorphic without any pair-search cost.
     """
@@ -519,31 +516,25 @@ def run_rank6_suite(out_dir, log):
     t0 = time.time()
     tagged = []
     for idx, (params, g) in enumerate(survivors, start=1):
-        tagged.append((params, g, invariant_key(g), is_thin(g).thin,
-                       center(g).order))
+        tagged.append((params, g, invariant_key(g), is_thin(g).thin))
         if idx % 200 == 0:
             log(f"  tagging: {idx}/{len(survivors)} "
                 f"({time.time() - t0:.1f}s)")
-    needs_verdict = [t for t in tagged if t[3] or t[4] == 9]
-    skipped = len(tagged) - len(needs_verdict)
-    log(f"  tagged {len(tagged)} instances ({time.time() - t0:.1f}s); "
-        f"{len(needs_verdict)} need verdicts, {skipped} non-thin "
-        f"large-center instances skipped")
+    log(f"  tagged {len(tagged)} instances ({time.time() - t0:.1f}s)")
     t0 = time.time()
     decided = []
-    for idx, (params, g, key, thin, zc) in enumerate(needs_verdict,
-                                                     start=1):
-        decided.append((params, g, key, thin, zc, is_beauville(g)))
+    for idx, (params, g, key, thin) in enumerate(tagged, start=1):
+        decided.append((params, g, key, thin, is_beauville(g)))
         if idx % 25 == 0:
-            log(f"  verdicts: {idx}/{len(needs_verdict)} "
+            log(f"  verdicts: {idx}/{len(tagged)} "
                 f"({time.time() - t0:.1f}s)")
     thin_pos = [(key, params, g)
-                for params, g, key, thin, zc, found in decided
+                for params, g, key, thin, found in decided
                 if thin and found]
-    nonthin_pos = sorted((d for d in decided if not d[3] and d[5]),
+    nonthin_pos = sorted((d for d in decided if not d[3] and d[4]),
                          key=lambda d: (d[2], d[0]))
     log(f"  positives: {len(thin_pos)} thin instances, "
-        f"{len(nonthin_pos)} non-thin center-9 instances "
+        f"{len(nonthin_pos)} non-thin instances "
         f"({time.time() - t0:.1f}s)")
     if not nonthin_pos:
         raise AssertionError("no non-thin Beauville instance at order 3^6")
@@ -572,7 +563,7 @@ def run_rank6_suite(out_dir, log):
         write_entry(out_dir, entry_id, g, provenance, True)
         log(f"  {entry_id}: {count} census instances, params {params}")
         written.append(entry_id)
-    params, g, key, thin, zc, found = nonthin_pos[0]
+    params, g, key, thin, found = nonthin_pos[0]
     provenance = ("rank-6 template census (python tools/build_catalog.py "
                   "--suite p3): the non-thin Beauville class of order 3^6, "
                   "center of order 9, found in the singular-coupling branch")
@@ -581,10 +572,10 @@ def run_rank6_suite(out_dir, log):
         f"params {params}")
     written.append("sg-3_6-40")
     thin_neg = {}
-    for d in sorted((d for d in decided if d[3] and not d[5]),
+    for d in sorted((d for d in decided if d[3] and not d[4]),
                     key=lambda d: (d[2], d[0])):
         thin_neg.setdefault(d[2], d)
-    for idx, (params, g, key, thin, zc, found) in enumerate(
+    for idx, (params, g, key, thin, found) in enumerate(
             thin_neg.values(), start=1):
         entry_id = f"thin36-n{idx}"
         provenance = ("rank-6 template census (python tools/build_catalog.py "
