@@ -26,8 +26,8 @@ from .structure import (
     _projective_points,
     agemo,
     check_budget,
+    conjugacy_class,
     conjugacy_class_reps,
-    conjugacy_orbit,
     derived_subgroup,
     exponent_p_maximal_count,
     frattini_quotient,
@@ -61,16 +61,6 @@ def socle_key(pres, a):
         a = b
 
 
-def _socle_orbit(pres, key, budget=None):
-    memo = pres.cache.setdefault("socle-orbits", {})
-    if key in memo:
-        return memo[key]
-    orbit = frozenset(conjugacy_orbit(pres, key, line_key, budget))
-    for v in orbit:
-        memo[v] = orbit
-    return orbit
-
-
 def triple_fingerprint(pres, x, y, budget=None):
     """Conjugacy-closed socle lines of x, y, and xy."""
     out = set()
@@ -78,7 +68,7 @@ def triple_fingerprint(pres, x, y, budget=None):
         key = socle_key(pres, m)
         if key is None:
             raise ValueError("trivial member in a generating pair")
-        out |= _socle_orbit(pres, key, budget)
+        out |= conjugacy_class(pres, key, budget)
     return frozenset(out)
 
 
@@ -154,13 +144,10 @@ def _socle_bits(pres, pool, reps, rep_of, budget=None):
     socle_key runs on the class representatives only, as
     conjugacy_class_reps gives them.  Each is its class's first member
     in pool, so the bits come in the same order as element by element."""
-    bit_of, rep_bit, bit = {}, {}, 1
+    bit_of, rep_bit = {}, {}
     for r in reps:
-        key = socle_key(pres, r)
-        if key not in bit_of:
-            bit_of.update(dict.fromkeys(_socle_orbit(pres, key, budget), bit))
-            bit <<= 1
-        rep_bit[r] = bit_of[key]
+        lines = conjugacy_class(pres, socle_key(pres, r), budget)
+        rep_bit[r] = bit_of.setdefault(lines, 1 << len(bit_of))
     return {v: rep_bit[rep_of[v]] for v in pool}
 
 

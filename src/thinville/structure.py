@@ -28,7 +28,7 @@ The same formula gives (xy)^p = x^p y^p when G has class below p and
 gamma_2 has exponent p; agemo then needs no sweep, as x -> x^p is a
 homomorphism and its image is generated by the generators' p-th powers.
 
-The enumerating operations (that sweep, conjugacy orbits, the thinness
+The enumerating operations (that sweep, conjugacy classes, the thinness
 sieve, the maximal subgroups and lattice walks) respect an element
 budget, settable per call or through the THINVILLE_BUDGET environment
 variable.
@@ -259,16 +259,19 @@ def is_cyclic_subgroup(pres, sub) -> bool:
 # ----------------------------------------------------------------------
 # conjugacy
 
-def conjugacy_orbit(pres, v, label=None, budget=None):
-    """Everything reached from v by repeated conjugation with the
-    generators: the conjugacy class of v.  With a label map each
-    conjugate w is replaced by label(pres, w) before it is followed, so
-    the orbit is one of labels, and v must be a label itself.
+def conjugacy_class(pres, v, budget=None):
+    """The conjugacy class of v, as a frozenset: everything reached from
+    v by repeated conjugation with the generators, kept in one cache
+    that maps each member to the same object.
 
     The presentation refines a central series, so with l the leading
-    index of v every conjugate of v lies in v<g_{l+1}, ..., g_n> (and so
-    does every label of line_key); the budget is checked on that coset's
-    size, p^(n-l), before the search starts."""
+    index of v every conjugate of v lies in v<g_{l+1}, ..., g_n> and
+    leads at l with v's exponent: the class of a line label of line_key
+    is its line's orbit, with no label map.  On a cache miss the budget
+    is checked on that coset's size, p^(n-l), before the search."""
+    classes = pres.cache.setdefault("conjugacy_class", {})
+    if v in classes:
+        return classes[v]
     check_budget(pres.p ** (pres.n - (_leading(v) or pres.n)), budget,
                  "conjugacy orbit search needs up to {} elements")
     gens = pres.gens()
@@ -278,12 +281,12 @@ def conjugacy_orbit(pres, v, label=None, budget=None):
         u = queue.pop()
         for g in gens:
             w = pres.conjugate(u, g)
-            if label is not None:
-                w = label(pres, w)
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return seen
+    found = frozenset(seen)
+    classes.update(dict.fromkeys(found, found))
+    return found
 
 
 def conjugacy_class_reps(pres, pool, budget=None):
@@ -295,7 +298,7 @@ def conjugacy_class_reps(pres, pool, budget=None):
         if v not in rep_of:
             reps.append(v)
             rep_of.update(dict.fromkeys(
-                conjugacy_orbit(pres, v, budget=budget), v))
+                conjugacy_class(pres, v, budget), v))
     return reps, rep_of
 
 
@@ -519,9 +522,7 @@ def _coset_sweep(pres, sub, budget):
     N = gamma(pres, k)
     check_budget(sub.order // N.order, budget,
                  "p-th power sweep needs {} cosets")
-    leads = set(N.leads)
-    return N, pres.products([b for b in sub.basis
-                             if _leading(b) not in leads])
+    return N, pres.products(_layer_basis(sub, N))
 
 
 @_memo
@@ -668,33 +669,33 @@ def _covering_holds_on_layer(pres, upper, target, deeper, budget=None):
     """Check [g,G] deeper = target for all g in upper minus target.
 
     The caller has checked that G/gamma_2 is elementary of order p^2,
-    so every layer upper/target is elementary abelian.  Modulo deeper,
-    g -> [g, x] is then linear on upper/target for each x, as
-    [gt, x] = [g, x] [[g, x], t] [t, x] with the last two factors in
-    deeper; so g ranges over one representative per direction of
-    upper/target.  Every [g, x] lies in target, so when target/deeper
-    has order p the first commutator outside deeper decides, with no
-    closure."""
-    group, lift = pres, None
-    width = target.log_order - deeper.log_order
-    if deeper.log_order:
-        group, project, lift = quotient_presentation(pres, deeper)
-        upper = generated_subgroup(group, [project(b) for b in upper.basis])
-        target = generated_subgroup(group, [project(b) for b in target.basis])
-    leads = set(target.leads)
-    basis = [b for b in upper.basis if _leading(b) not in leads]
+    so every layer is elementary abelian and target/deeper is central
+    in G/deeper.  Modulo deeper, g -> [g, x] is then linear on
+    upper/target for each x, as [gt, x] = [g, x] [[g, x], t] [t, x]
+    with the last two factors in deeper, and x -> [g, x] is a
+    homomorphism; so g ranges over one representative u per direction
+    of upper/target, and the [u, x] for the generators x, adjoined to
+    deeper's induced sequence, must span target/deeper."""
+    basis = _layer_basis(upper, target)
     check_budget((pres.p ** len(basis) - 1) // (pres.p - 1), budget,
                  "thinness covering check needs {} directions")
     for exps in _projective_points(pres.p, len(basis)):
-        u = _basis_product(group, basis, exps)
-        comms = (group.commutator(u, g) for g in group.gens())
-        if width == 1:
-            covers = any(c != group.identity for c in comms)
-        else:
-            covers = generated_subgroup(group, list(comms)) == target
-        if not covers:
-            return False, lift(u) if lift else u
+        u = _basis_product(pres, basis, exps)
+        slots = dict(deeper._leadmap)
+        for g in pres.gens():
+            if len(slots) == target.log_order:
+                break
+            _adjoin(pres, slots, pres.commutator(u, g))
+        if len(slots) < target.log_order:
+            return False, u
     return True, None
+
+
+def _layer_basis(upper, lower):
+    """The basis elements of upper whose leads are not leads of lower:
+    for lower inside upper, a basis of upper modulo lower."""
+    leads = set(lower.leads)
+    return [b for b in upper.basis if _leading(b) not in leads]
 
 
 def _sieve_layer(pres, upper, target, budget):
@@ -770,15 +771,8 @@ def lattice_nodes(pres, budget=None):
         if layer.tag == "chain":
             edges.append((top, bottom))
             continue
-        # two independent generators of the layer, picked greedily
-        gens = []
-        grown = lower
-        for b in upper.basis:
-            if b not in grown:
-                gens.append(b)
-                grown = generated_subgroup(pres, list(grown.basis) + [b])
-            if len(gens) == 2:
-                break
+        # the mids are the same whichever two layer generators are used
+        gens = _layer_basis(upper, lower)
         if layer.tag == "diamond":
             mids = [generated_subgroup(
                         pres, list(lower.basis) + [_basis_product(pres, gens, d)])

@@ -6,6 +6,7 @@ elements or subgroups, with no shortcut the engine's fast paths take.
 
 from thinville.structure import (
     Subgroup,
+    _leading,
     check_budget,
     frattini_quotient,
     generated_subgroup,
@@ -58,6 +59,32 @@ def normal_subgroups(pres, budget=None):
                     fresh.append(join)
         frontier = fresh
     return sorted(found.values(), key=lambda s: (s.log_order, s.basis))
+
+
+def min_power_label(pres, v):
+    """The least of v, v^2, ..., v^(p-1): the line label by definition."""
+    return min(pres.power(v, j) for j in range(1, pres.p))
+
+
+def line_orbit_brute(pres, v, budget=None):
+    """The orbit of the line through v under conjugation, as the set of
+    its lines' least-power labels: every conjugate is relabelled by
+    min_power_label before it is followed, so v must be a label itself.
+    The budget is checked on the size of v's coset of
+    <g_{l+1}, ..., g_n>, with l the leading index of v."""
+    check_budget(pres.p ** (pres.n - (_leading(v) or pres.n)), budget,
+                 "conjugacy orbit search needs up to {} elements")
+    gens = pres.gens()
+    seen = {v}
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        for g in gens:
+            w = min_power_label(pres, pres.conjugate(u, g))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def sigma_brute(pres, x, y):

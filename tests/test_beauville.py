@@ -37,14 +37,14 @@ from thinville.beauville import (
 from thinville.catalog import BUILTIN_IDS, data_entry_paths, resolve
 from thinville.structure import (
     BudgetExceededError,
+    conjugacy_class,
     conjugacy_class_reps,
-    conjugacy_orbit,
     frattini,
     gamma,
     quotient_presentation,
 )
 
-from oracles import sigma_brute
+from oracles import line_orbit_brute, min_power_label, sigma_brute
 from test_pc_core import UnitriangularModel
 
 
@@ -318,11 +318,6 @@ def test_guided_without_recipe_is_honest(m27):
 # the sweep against its reference: frozenset fingerprints, one multiply
 # per pair, and the pool projected element by element
 
-def min_power_label(pres, v):
-    """The least of v, v^2, ..., v^(p-1): the line label by definition."""
-    return min(pres.power(v, j) for j in range(1, pres.p))
-
-
 def reference_exhaustive(pres):
     quotient, project, lift = quotient_presentation(pres, frattini(pres))
     if quotient.n != 2:
@@ -346,7 +341,7 @@ def reference_exhaustive(pres):
             seen_triples.add(triple)
             for key in triple - orbits.keys():
                 orbits[key] = frozenset(
-                    conjugacy_orbit(pres, key, min_power_label))
+                    line_orbit_brute(pres, key))
             fingerprints.setdefault(
                 frozenset().union(*(orbits[k] for k in triple)), (x, y))
     for (f1, p1), (f2, p2) in combinations(fingerprints.items(), 2):
@@ -408,6 +403,36 @@ def test_line_key_is_the_least_power(target):
         checked += 1
 
 
+@pytest.mark.parametrize("target", CATALOG_TARGETS)
+def test_conjugacy_class_of_a_label_is_its_line_orbit(target):
+    # the class search follows plain conjugates; the reference relabels
+    # each one by its least power before following it
+    pres = resolve(target).presentation
+    rng = random.Random(59)
+    keys = {socle_key(pres, v) for v in
+            (random_element(pres, rng) for _ in range(2))
+            if v != pres.identity}
+    for key in sorted(keys):
+        found = conjugacy_class(pres, key)
+        assert found == line_orbit_brute(pres, key)
+        assert all(conjugacy_class(pres, w) is found for w in found)
+
+
+def test_conjugacy_class_budget_gates_a_miss_only():
+    pres = PcPresentation(5, 3, commutators={(2, 1): [(3, 1)]})
+    v = pres.gen(1)
+    # the search is gated on p^(n-1) = 25 elements; a refused search
+    # stores nothing, so the next small budget is refused again
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            conjugacy_class(pres, v, budget=1)
+    found = conjugacy_class(pres, v, budget=25)
+    assert found == {pres.multiply(v, pres.power(pres.gen(3), k))
+                     for k in range(5)}
+    assert conjugacy_class(pres, pres.conjugate(v, pres.gen(2)),
+                           budget=1) is found
+
+
 def sweep_bits(pres):
     pool = outside_frattini(pres)
     return pool, _socle_bits(pres, pool, *conjugacy_class_reps(pres, pool))
@@ -436,7 +461,7 @@ def test_socle_bits_are_constant_on_tail_cosets(target):
             v, pres.element_order(v) // pres.p))
         if key not in orbits:
             orbits[key] = frozenset(
-                conjugacy_orbit(pres, key, min_power_label))
+                line_orbit_brute(pres, key))
         lines[v] = orbits[key]
     # the bits name the same partition of the pool as the line sets
     pairs = {(bits[v], lines[v]) for v in pool}

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from thinville import catalog, cli
 from thinville.catalog import BUILTIN_IDS, data_entry_paths
 from thinville.cli import main
 
@@ -169,12 +170,33 @@ def test_verify_p5_small_budget_is_inconclusive(capsys):
 
 
 def test_verify_budget_reaches_catalog_loading(capsys):
-    # loading the shipped entries runs their thinness test, whose
-    # covering check tries 6 directions per layer of a 3-group
+    # loading the shipped 3-group entries runs their thinness test,
+    # whose covering check tries (3^2 - 1)/2 = 4 directions on a layer
+    # of width 2
     rc, _, err = run(capsys, "verify-theorems", "--suite", "p3",
-                     "--budget", "5")
+                     "--budget", "3")
     assert rc == 3
-    assert err.startswith("inconclusive: thinness covering check needs 6 ")
+    assert err.startswith("inconclusive: thinness covering check needs 4 ")
+
+
+def test_verify_p3_checks_the_p3_entries_only(capsys, monkeypatch):
+    # every shipped file is loaded, but only the suite's prime has its
+    # structural expectations recomputed
+    checked = []
+
+    def spy(entry, budget=None):
+        checked.append(entry.id)
+        return real(entry, budget)
+
+    # ingest looks the check up in catalog, the suites in cli
+    real = catalog.check_structural_expects
+    monkeypatch.setattr(catalog, "check_structural_expects", spy)
+    monkeypatch.setattr(cli, "check_structural_expects", spy, raising=False)
+    rc, out, _ = run(capsys, "verify-theorems", "--suite", "p3")
+    assert rc == 0, out
+    assert sorted(checked) == sorted(
+        Path(p).stem for p in data_entry_paths()
+        if catalog.ingest(p, check=False).presentation.p == 3)
 
 
 @pytest.mark.parametrize("argv", [

@@ -100,7 +100,7 @@ def test_one_memo():
     owners = {("structure.py", "_memo"),
               ("structure.py", "quotient_presentation"),
               ("structure.py", "_coset_sweep"),
-              ("beauville.py", "_socle_orbit"),
+              ("structure.py", "conjugacy_class"),
               ("pcgroup.py", "__init__")}
     files = sorted((ROOT / "src" / "thinville").glob("*.py"))
     assert {"structure.py", "pcgroup.py"} <= {f.name for f in files}

@@ -31,13 +31,12 @@ from collections import Counter, namedtuple
 from itertools import chain, product
 from pathlib import Path
 
+from thinville.catalog import _structural_value
 from thinville.pcgroup import PcPresentation, format_element
 from thinville.structure import (
     agemo,
     center,
     conjugacy_class_reps,
-    is_maximal_class,
-    is_metabelian,
     is_thin,
     lower_central_series,
     nilpotency_class,
@@ -376,15 +375,15 @@ def reduce_census(members, log):
 # emission
 
 def expect_line(pres, verdict_found):
-    return ("# expect: order=%d class=%d metabelian=%s maximal_class=%s "
-            "thin=%s beauville=%s center_order=%d" % (
-                pres.order,
-                nilpotency_class(pres),
-                str(is_metabelian(pres)).lower(),
-                str(is_maximal_class(pres)).lower(),
-                str(bool(is_thin(pres).thin)).lower(),
-                str(bool(verdict_found)).lower(),
-                center(pres).order))
+    """The `# expect:` header: the search verdict, and every structural
+    value as the catalog recomputes it on load."""
+    tokens = []
+    for key in ("order", "class", "metabelian", "maximal_class", "thin",
+                "beauville", "center_order"):
+        value = (bool(verdict_found) if key == "beauville"
+                 else _structural_value(pres, key))
+        tokens.append(f"{key}={str(value).lower()}")
+    return "# expect: " + " ".join(tokens)
 
 
 def pc_text(pres, header_lines):
