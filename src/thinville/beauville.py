@@ -23,6 +23,7 @@ from .structure import (
     BudgetExceededError,
     _coset_sweep,
     _left_nullspace,
+    _memo,
     _projective_points,
     agemo,
     check_budget,
@@ -75,10 +76,10 @@ def triple_fingerprint(pres, x, y, budget=None):
 def generates(pres, x, y) -> bool:
     """Two elements generate a p-group iff they do so modulo the
     Frattini subgroup."""
-    quotient, project, lift = frattini_quotient(pres)
+    r, project, lift = frattini_quotient(pres)
     rows = [project(x), project(y)]
     rank = len(rows) - len(_left_nullspace(rows, pres.p))
-    return rank == quotient.n
+    return rank == r
 
 
 # ----------------------------------------------------------------------
@@ -119,12 +120,13 @@ def verify_beauville_structure(pres, pair1, pair2, budget=None):
 def outside_frattini(pres):
     """The elements outside the Frattini subgroup, in lexicographic
     order, each mapped to its image in the Frattini quotient."""
-    quotient, project, lift = frattini_quotient(pres)
-    zero = (0,) * quotient.n
+    r, project, lift = frattini_quotient(pres)
+    zero = (0,) * r
     images = ((v, project(v)) for v in pres.elements())
     return {v: d for v, d in images if d != zero}
 
 
+@_memo
 def _class_count_bound(pres, budget=None):
     """A lower bound on the number of conjugacy classes outside the
     Frattini subgroup: the count for Q = G/gamma_4.  As gamma_4 lies in
@@ -161,8 +163,8 @@ def _bit_blind_tail(pres, pool, bits):
     set of normal forms with v's first t exponents.  Each v k is a
     product of such generators onto v, so bits, like the Frattini image,
     is constant on v K."""
-    quotient, project, lift = frattini_quotient(pres)
-    zero = (0,) * quotient.n
+    r, project, lift = frattini_quotient(pres)
+    zero = (0,) * r
     t = pres.n
     while t > 1:
         g = pres.gen(t)
@@ -187,8 +189,8 @@ def exhaustive_beauville(pres, budget=None) -> BeauvilleVerdict:
     the fingerprints, their first pairs and their order are those of
     the sweep over every y.  The budget gates count every y, so the
     sweep does fewer pair evaluations than they admit, never more."""
-    quotient, project, lift = frattini_quotient(pres)
-    if quotient.n != 2:
+    r, project, lift = frattini_quotient(pres)
+    if r != 2:
         # rank 1: every two cyclic subgroups share the unique socle;
         # rank > 2: no two elements generate at all
         return BeauvilleVerdict("refuted", "exhaustive", None,
@@ -262,7 +264,7 @@ def omega_negative_test(pres, budget=None) -> OmegaReport:
     if agemo(pres, budget).order != pres.p:
         return OmegaReport(False, False, (),
                            "power subgroup does not have order p")
-    quotient, project, lift = frattini_quotient(pres)
+    _, project, _ = frattini_quotient(pres)
     _, reps = _coset_sweep(pres, whole_group(pres), budget)
     directions = {_direction_of(pres, project, r) for r in reps
                   if pres.power(r, pres.p) == pres.identity}
@@ -393,7 +395,7 @@ def _guided_candidates(pres, cls, budget=None):
     cannot collide. Derived-subgroup shifts perturb the socles when a
     bare partition fails upstairs."""
     p = pres.p
-    quotient, project, lift = frattini_quotient(pres)
+    r, project, lift = frattini_quotient(pres)
     dirs = _projective_points(p, 2)
     derived = derived_subgroup(pres)
     shifts = [pres.identity] + list(derived.basis)
@@ -456,7 +458,7 @@ def guided_beauville(pres, budget=None) -> BeauvilleVerdict:
                 "found", f"guided-{cls.case_label}", cert)
     # randomized fallback: derived-subgroup shifts of the base pairs
     rng = random.Random(17)
-    quotient, project, lift = frattini_quotient(pres)
+    r, project, lift = frattini_quotient(pres)
     derived = derived_subgroup(pres)
     x, y = lift((1, 0)), lift((0, 1))
     for _ in range(200):

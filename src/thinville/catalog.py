@@ -266,9 +266,9 @@ def analyze(entry: CatalogEntry, mode: str = "auto",
             budget=None) -> AnalysisReport:
     pres = entry.presentation
     series = lower_central_series(pres)
-    quotient, project, lift = frattini_quotient(pres)
+    r, project, lift = frattini_quotient(pres)
     exp_p_count = None
-    if quotient.n == 2:
+    if r == 2:
         exp_p_count = exponent_p_maximal_count(pres, budget)
     cls = classify_theorem_a(pres, budget)
     thin = bool(is_thin(pres, budget).thin)

@@ -36,8 +36,8 @@ from .congruence import (
     smallest_nonresidue,
 )
 from .pcgroup import _is_prime
-from .structure import BudgetExceededError, lattice_profile, \
-    lattice_nodes, center, is_thin, is_metabelian
+from .structure import BudgetExceededError, check_budget, \
+    lattice_profile, lattice_nodes, center, is_thin, is_metabelian
 from .beauville import beauville, classify_theorem_a
 
 
@@ -179,6 +179,9 @@ def _formula_battery(p):
 def _run_formulas(p, as_json=False):
     if p < 3 or not _is_prime(p):
         raise UnknownTargetError(f"need an odd prime, got {p}")
+    # (p-1)(p-2)/2 coefficient pairs, each a sum of p-1 binomial products
+    check_budget((p - 1) ** 2 * (p - 2) // 2, None,
+                 "identity battery needs {} coefficient terms")
     rows = _formula_battery(p)
     failed = sum(f for _, _, f in rows)
     if as_json:

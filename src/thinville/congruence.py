@@ -149,7 +149,7 @@ def find_quadratic_pairs(pres, x=None, expose_all=False):
     when no direction works.
     """
     _quadratic_preconditions(pres)
-    quotient, project, lift = frattini_quotient(pres)
+    r, project, lift = frattini_quotient(pres)
     p = pres.p
     derived = derived_subgroup(pres)
     if x is None:
@@ -299,9 +299,9 @@ def maximal_power_classes(pres, modulus=None):
     modulus (the deepest lower central term by default)."""
     if modulus is None:
         modulus = gamma(pres, pres.p + 1)
-    quotient, project, lift = frattini_quotient(pres)
+    r, project, lift = frattini_quotient(pres)
     out = []
-    for direction in _projective_points(pres.p, quotient.n):
+    for direction in _projective_points(pres.p, r):
         rep = lift(direction)
         out.append((direction, power_class_key(pres, pres.power(rep, pres.p), modulus)))
     return out
@@ -319,8 +319,8 @@ def companion_check(pres, rng, samples=20, modulus=None) -> bool:
             raise ValueError(
                 "representative independence needs derived p-th powers "
                 "inside the modulus")
-    quotient, project, lift = frattini_quotient(pres)
-    for direction in _projective_points(pres.p, quotient.n):
+    r, project, lift = frattini_quotient(pres)
+    for direction in _projective_points(pres.p, r):
         a = lift(direction)
         key_a = power_class_key(pres, pres.power(a, pres.p), modulus)
         for _ in range(samples):

@@ -148,7 +148,7 @@ class PcPresentation:
         self._report = None
         self._checked = False    # set once the consistency check has passed
         #: results derived from the group by the other layers (series,
-        #: subgroups, quotients, conjugacy classes), filled on first use
+        #: subgroups, conjugacy classes), filled on first use
         self.cache = {}
 
     def __repr__(self):

@@ -11,7 +11,10 @@ leaves, scaled to leading exponent 1 by line_key.  All closures
 (generated subgroup, normal closure) run a queue that keeps the product
 set closed under p-th powers, commutators, and, for normal closures,
 conjugation by the presentation generators.  One decorator, _memo,
-keeps each invariant of a presentation in pres.cache.
+keeps each invariant of a presentation in pres.cache, beside the one
+keyed cache of conjugacy_class.  A quotient G/N is read in G, through
+the coordinate maps of _coset_coordinates: G/Frattini and each upper
+central step build no quotient presentation.
 
 Every p-th power question (agemo, omega1, exponent and so the
 exponent-p maximal subgroups, and the omega criterion's order-p scan)
@@ -303,24 +306,19 @@ def conjugacy_class_reps(pres, pool, budget=None):
 
 
 # ----------------------------------------------------------------------
-# cosets and quotient presentations
+# cosets: coordinate maps for G/N, and the quotient presentation
 
 def canonical_coset_rep(pres, sub, vec):
     """The unique element of vec*sub with zeros at the basis leads."""
     return _reduce(pres, sub._leadmap, vec)
 
 
-def quotient_presentation(pres, sub):
-    """Presentation of G/N for normal N, with project and lift maps."""
-    key = ("quotient", sub.basis)
-    cache = pres.cache
-    if key in cache:
-        return cache[key]
-    if not is_normal(pres, sub):
-        raise ValueError("quotient requires a normal subgroup")
+def _coset_coordinates(pres, sub):
+    """(kept, project, lift) for G modulo sub: kept lists the generators
+    that lead no element of sub, project reads the canonical coset
+    representative at them, and lift places a vector there.  For normal
+    sub these are the normal-form coordinates of G/sub."""
     kept = [i for i in range(1, pres.n + 1) if i not in sub._leadmap]
-    if not kept:
-        raise ValueError("quotient by the whole group is trivial")
 
     def project(vec):
         r = canonical_coset_rep(pres, sub, vec)
@@ -331,6 +329,17 @@ def quotient_presentation(pres, sub):
         for a, g in enumerate(kept):
             out[g - 1] = qvec[a]
         return tuple(out)
+
+    return kept, project, lift
+
+
+def quotient_presentation(pres, sub):
+    """Presentation of G/N for normal N, with project and lift maps."""
+    if not is_normal(pres, sub):
+        raise ValueError("quotient requires a normal subgroup")
+    kept, project, lift = _coset_coordinates(pres, sub)
+    if not kept:
+        raise ValueError("quotient by the whole group is trivial")
 
     def to_word(vec, above):
         word = [(a, e) for a, e in enumerate(project(vec), start=1) if e]
@@ -348,8 +357,7 @@ def quotient_presentation(pres, sub):
     quotient = PcPresentation(pres.p, k, powers, commutators)
     if not quotient.is_consistent():
         raise AssertionError("derived quotient presentation is inconsistent")
-    cache[key] = (quotient, project, lift)
-    return cache[key]
+    return quotient, project, lift
 
 
 # ----------------------------------------------------------------------
@@ -424,44 +432,47 @@ def _left_nullspace(rows, p):
     return [row[m:] for row in aug[pivot_row:]]
 
 
-@_memo
-def center(pres) -> Subgroup:
-    pres.ensure_consistent()
-    C = whole_group(pres)
-    # refine coordinate by coordinate: after step t, [C, G] vanishes on
-    # the first t coordinates (the tail filtration is central, so the
-    # per-coordinate commutator map is a homomorphism on C)
-    for t in range(1, pres.n + 1):
-        if C.log_order == 0:
+def _upper_step(pres, lower) -> Subgroup:
+    """The preimage of Z(G/lower) for normal lower: the c in G with
+    [c, g] in lower for every g."""
+    kept, project, _ = _coset_coordinates(pres, lower)
+    tops = [pres.gen(t) for t in kept]
+    C, images = whole_group(pres), None
+    # refine coordinate by coordinate of G/lower: after step a, [C, G]
+    # vanishes on its first a coordinates (the tail filtration is central,
+    # so the per-coordinate commutator map is a homomorphism on C)
+    for a in range(len(kept)):
+        if C.log_order == lower.log_order:
             break
-        rows = [[pres.commutator(b, g)[t - 1] for g in pres.gens()]
-                for b in C.basis]
+        if images is None:
+            images = [[project(pres.commutator(b, g)) for g in tops]
+                      for b in C.basis]
+        rows = [[image[a] for image in row] for row in images]
+        if not any(map(any, rows)):
+            continue
+        images = None
         gens = [_basis_product(pres, C.basis, x)
                 for x in _left_nullspace(rows, pres.p)]
         gens.extend(pres.power(b, pres.p) for b in C.basis)
         gens.extend(pres.commutator(C.basis[i], C.basis[j])
                     for i in range(len(C.basis)) for j in range(i + 1, len(C.basis)))
-        C = generated_subgroup(pres, gens)
+        C = generated_subgroup(pres, gens + list(lower.basis))
     return C
 
 
 @_memo
+def center(pres) -> Subgroup:
+    return _upper_step(pres, trivial_subgroup(pres))
+
+
+@_memo
 def upper_central_series(pres) -> CentralSeries:
-    whole = whole_group(pres)
     terms = [trivial_subgroup(pres)]
-    current = terms[0]
-    while current != whole:
-        if current.log_order == 0:
-            bigger = center(pres)
-        else:
-            quotient, project, lift = quotient_presentation(pres, current)
-            zq = center(quotient)
-            bigger = generated_subgroup(
-                pres, [lift(b) for b in zq.basis] + list(current.basis))
-        if bigger.log_order <= current.log_order:
+    while terms[-1] != whole_group(pres):
+        bigger = _upper_step(pres, terms[-1])
+        if bigger.log_order <= terms[-1].log_order:
             raise AssertionError("upper central series failed to ascend")
         terms.append(bigger)
-        current = bigger
     widths = [terms[i + 1].log_order - terms[i].log_order
               for i in range(len(terms) - 1)]
     return CentralSeries("upper", terms, widths)
@@ -479,18 +490,31 @@ def frattini(pres) -> Subgroup:
 
 @_memo
 def frattini_quotient(pres):
-    """(quotient presentation of G/Frattini, project, lift).  G/Frattini
-    is elementary abelian, so project is linear: a normal form maps to
-    the sum of its exponents times the generators' images, mod p."""
-    quotient, project, lift = quotient_presentation(pres, frattini(pres))
-    p, r = pres.p, quotient.n
+    """(rank r of G/Frattini, project, lift), the coordinate maps of
+    _coset_coordinates.  G/Frattini is elementary abelian, so project is
+    linear: a normal form maps to the sum of its exponents times the
+    generators' images, mod p."""
+    kept, project, lift = _coset_coordinates(pres, frattini(pres))
+    p, r = pres.p, len(kept)
     images = [project(g) for g in pres.gens()]
 
     def linear(vec):
         return tuple(sum(e * image[k] for e, image in zip(vec, images))
                      % p for k in range(r))
 
-    return quotient, linear, lift
+    return r, linear, lift
+
+
+@_memo
+def _power_kernel_start(pres):
+    """The least k from which on every gamma_k qualifies as the N of
+    _coset_sweep, sub aside: abelian, with a basis of order p."""
+    k = max(2, nilpotency_class(pres) - pres.p + 2)
+    while not (is_abelian_subgroup(pres, gamma(pres, k)) and all(
+            pres.power(b, pres.p) == pres.identity
+            for b in gamma(pres, k).basis)):
+        k += 1
+    return k
 
 
 def _coset_sweep(pres, sub, budget):
@@ -507,16 +531,7 @@ def _coset_sweep(pres, sub, budget):
     on each coset other than N itself.  The transversal is the products
     of the basis elements of sub whose leads are not leads of N; the
     budget is checked once, on |sub : N|."""
-    cache = pres.cache
-    if "power-kernel-start" not in cache:
-        # sub aside, the terms that qualify are the gamma_k from some k on
-        k = max(2, nilpotency_class(pres) - pres.p + 2)
-        while not (is_abelian_subgroup(pres, gamma(pres, k)) and all(
-                pres.power(b, pres.p) == pres.identity
-                for b in gamma(pres, k).basis)):
-            k += 1
-        cache["power-kernel-start"] = k
-    k = cache["power-kernel-start"]
+    k = _power_kernel_start(pres)
     while not sub.contains_subgroup(gamma(pres, k)):
         k += 1
     N = gamma(pres, k)
@@ -570,8 +585,8 @@ def maximal_subgroups(pres, budget=None):
     """Index-p subgroups, ordered by their direction in G/Frattini; the
     budget is checked on their number, (p^r - 1)/(p - 1) for G/Frattini
     of rank r."""
-    quotient, project, lift = frattini_quotient(pres)
-    p, r = pres.p, quotient.n
+    r, _, lift = frattini_quotient(pres)
+    p = pres.p
     check_budget((p ** r - 1) // (p - 1), budget,
                  "maximal subgroups need {} directions")
     phi = frattini(pres)
@@ -634,8 +649,7 @@ class ThinReport:
 def is_thin(pres, budget=None) -> ThinReport:
     """Sandwich test: every normal subgroup between consecutive lower
     central terms, and every layer of width at most p^2."""
-    quotient, project, lift = frattini_quotient(pres)
-    if quotient.n < 2:
+    if frattini_quotient(pres)[0] < 2:
         return ThinReport(False, witness_kind="cyclic")
     series = lower_central_series(pres)
     for i, w in enumerate(series.widths, start=1):
@@ -718,7 +732,7 @@ class LatticeLayer:
     index: int
     width: int          # log_p of the layer order
     count: int          # normal subgroups N with term(i+1) <= N <= term(i)
-    tag: str            # chain | diamond | other
+    tag: str            # chain | diamond
 
 
 @dataclass
@@ -735,20 +749,12 @@ def lattice_profile(pres, budget=None) -> LatticeProfile:
     if not report.thin:
         raise ValueError("lattice profile requires a thin group")
     series = lower_central_series(pres)
-    layers = []
-    for i in range(1, len(series.terms)):
-        upper, lower = series.terms[i - 1], series.terms[i]
-        width = series.widths[i - 1]
-        if width == 1:
-            layers.append(LatticeLayer(i, width, 2, "chain"))
-            continue
-        # width 2: the layer is abelian; elementary gives p+1 intermediate
-        # subgroups (diamond), cyclic gives exactly one
-        elementary = all(pres.power(b, pres.p) in lower for b in upper.basis)
-        if elementary:
-            layers.append(LatticeLayer(i, width, pres.p + 3, "diamond"))
-        else:
-            layers.append(LatticeLayer(i, width, 3, "other"))
+    # is_thin has made G/gamma_2 elementary of order p^2, and every layer
+    # is an image of a tensor power of it: a width-2 layer is elementary,
+    # with p+1 intermediate subgroups (diamond)
+    layers = [LatticeLayer(i, 2, pres.p + 3, "diamond") if width == 2
+              else LatticeLayer(i, 1, 2, "chain")
+              for i, width in enumerate(series.widths, start=1)]
     return LatticeProfile(layers, ends_with_chain=layers[-1].tag == "chain" if layers else False)
 
 
@@ -758,28 +764,20 @@ def lattice_nodes(pres, budget=None):
     profile = lattice_profile(pres, budget)
     series = lower_central_series(pres)
     p = pres.p
-    nodes = []
+    # the terms come first: term i is node i - 1
+    nodes = [(term, i) for i, term in enumerate(series.terms, start=1)]
     edges = []
-    term_ids = {}
-    for i, term in enumerate(series.terms, start=1):
-        term_ids[term.basis] = len(nodes)
-        nodes.append((term, i))
     for layer in profile.layers:
-        upper = series.terms[layer.index - 1]
-        lower = series.terms[layer.index]
-        top, bottom = term_ids[upper.basis], term_ids[lower.basis]
+        top, bottom = layer.index - 1, layer.index
+        upper, lower = series.terms[top], series.terms[bottom]
         if layer.tag == "chain":
             edges.append((top, bottom))
             continue
         # the mids are the same whichever two layer generators are used
         gens = _layer_basis(upper, lower)
-        if layer.tag == "diamond":
-            mids = [generated_subgroup(
-                        pres, list(lower.basis) + [_basis_product(pres, gens, d)])
-                    for d in _projective_points(p, 2)]
-        else:
-            u = gens[0] if pres.power(gens[0], p) not in lower else gens[1]
-            mids = [generated_subgroup(pres, list(lower.basis) + [pres.power(u, p)])]
+        mids = [generated_subgroup(
+                    pres, list(lower.basis) + [_basis_product(pres, gens, d)])
+                for d in _projective_points(p, 2)]
         for mid in sorted(mids, key=lambda s: s.basis):
             mid_id = len(nodes)
             nodes.append((mid, layer.index))

@@ -36,9 +36,25 @@ def is_thin_brute(pres, budget=None) -> bool:
     for w in series.widths:
         if w > 2:
             return False
-    if frattini_quotient(pres)[0].n < 2:
+    if frattini_quotient(pres)[0] < 2:
         return False
     return True
+
+
+def upper_central_series_brute(pres, budget=None):
+    """Every upper central term as an element set, from the definition:
+    Z_0 = 1, and Z_(i+1) holds the x with [x, g] in Z_i for every
+    generator g, found by enumerating every element, up to G."""
+    check_budget(pres.order, budget,
+                 "brute upper central series needs {} elements")
+    terms = [{pres.identity}]
+    while len(terms[-1]) < pres.order:
+        terms.append({x for x in pres.elements()
+                      if all(pres.commutator(x, g) in terms[-1]
+                             for g in pres.gens())})
+        if len(terms[-1]) == len(terms[-2]):
+            raise AssertionError("upper central series failed to ascend")
+    return terms
 
 
 def normal_subgroups(pres, budget=None):

@@ -9,6 +9,7 @@ import pytest
 from thinville import catalog, cli
 from thinville.catalog import BUILTIN_IDS, data_entry_paths
 from thinville.cli import main
+from thinville.structure import DEFAULT_BUDGET
 
 TARGETS = list(BUILTIN_IDS) + [Path(p).stem for p in data_entry_paths()]
 NON_THIN = {"cpk2-3-2", "cpk2-5-2", "sg-3_6-40"}
@@ -122,6 +123,46 @@ def test_formulas_rejects_composite(capsys):
     rc, _, err = run(capsys, "formulas", "--p", "9")
     assert rc == 2
     assert "odd prime" in err
+
+
+def _battery_terms(p):
+    # (p-1)(p-2)/2 coefficient pairs, each a sum of p-1 binomial products
+    return (p - 1) ** 2 * (p - 2) // 2
+
+
+def test_formulas_default_budget_refuses_p401(capsys, monkeypatch):
+    monkeypatch.delenv("THINVILLE_BUDGET", raising=False)
+    rc, out, err = run(capsys, "formulas", "--p", "401")
+    assert rc == 3
+    assert out == ""
+    assert err == ("inconclusive: identity battery needs 31920000 "
+                   "coefficient terms, budget is 10000000\n")
+
+
+def test_formulas_default_budget_admits_p271(capsys, monkeypatch):
+    # the gate at the default budget, with the battery itself stubbed:
+    # 271 is the largest prime it admits, 277 the least it refuses
+    monkeypatch.delenv("THINVILLE_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "_formula_battery", lambda p: [])
+    assert _battery_terms(271) <= DEFAULT_BUDGET < _battery_terms(277)
+    assert run(capsys, "formulas", "--p", "271")[0] == 0
+    rc, out, err = run(capsys, "formulas", "--p", "277")
+    assert (rc, out) == (3, "")
+    assert err.startswith("inconclusive: identity battery needs")
+
+
+def test_formulas_budget_from_the_environment(capsys, monkeypatch):
+    # THINVILLE_BUDGET reaches the gate, both sides of the exact count
+    monkeypatch.setenv("THINVILLE_BUDGET", str(_battery_terms(11)))
+    rc, out, _ = run(capsys, "formulas", "--p", "11")
+    assert rc == 0 and "status: pass" in out
+    monkeypatch.setenv("THINVILLE_BUDGET", str(_battery_terms(11) - 1))
+    rc, out, err = run(capsys, "verify-theorems", "--suite", "formulas",
+                       "--p", "11")
+    assert (rc, out) == (3, "")
+    assert err == (f"inconclusive: identity battery needs "
+                   f"{_battery_terms(11)} coefficient terms, budget is "
+                   f"{_battery_terms(11) - 1}\n")
 
 
 def test_unknown_target_is_usage_error(capsys):

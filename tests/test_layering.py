@@ -7,7 +7,8 @@ none may read an underscore attribute of a presentation or reach into
 its __dict__.
 
 Invariants are memoized in one place: outside structure._memo and the
-three keyed caches, no function of the engine touches pres.cache.
+one keyed cache of structure.conjugacy_class, no function of the engine
+touches pres.cache.
 
 The budget is one contract: only structure.check_budget resolves a
 budget and raises BudgetExceededError, only beauville.beauville turns
@@ -98,8 +99,6 @@ def test_one_budget_contract():
 
 def test_one_memo():
     owners = {("structure.py", "_memo"),
-              ("structure.py", "quotient_presentation"),
-              ("structure.py", "_coset_sweep"),
               ("structure.py", "conjugacy_class"),
               ("pcgroup.py", "__init__")}
     files = sorted((ROOT / "src" / "thinville").glob("*.py"))

@@ -55,7 +55,12 @@ from thinville.structure import (
     whole_group,
 )
 
-from oracles import agemo_brute, is_thin_brute, normal_subgroups
+from oracles import (
+    agemo_brute,
+    is_thin_brute,
+    normal_subgroups,
+    upper_central_series_brute,
+)
 from test_pc_core import UnitriangularModel
 
 CATALOG_TARGETS = list(BUILTIN_IDS) + [Path(p).stem
@@ -256,6 +261,16 @@ def test_series_ut43(ut43):
     assert [t.order for t in rising.terms] == [1, 3, 27, 729]
 
 
+@pytest.mark.parametrize("name", ["h5", "m27", "ut43", "sg-3_5-3",
+                                  "sg-3_6-40"])
+def test_upper_central_series_matches_brute(request, name):
+    pres = _group(request, name)
+    terms = upper_central_series(pres).terms
+    assert [set(t.elements()) for t in terms] \
+        == upper_central_series_brute(pres)
+    assert terms[1] == center(pres)
+
+
 def test_series_abelian(c25c25):
     assert nilpotency_class(c25c25) == 1
     assert derived_subgroup(c25c25).order == 1
@@ -327,8 +342,8 @@ def test_frattini(h5, c25c25, ut43):
 
 
 def test_frattini_quotient_rank(h5, ut43):
-    assert frattini_quotient(h5)[0].n == 2
-    assert frattini_quotient(ut43)[0].n == 3
+    assert frattini_quotient(h5)[0] == 2
+    assert frattini_quotient(ut43)[0] == 3
 
 
 def test_maximal_subgroups(h5, ut43, c5c5):
@@ -447,7 +462,7 @@ def test_maximals_match_their_closures(target):
     # echelonized directly, against the full closure
     pres = MAXIMAL_TARGETS[target]()
     phi = frattini(pres)
-    r, lift = frattini_quotient(pres)[0].n, frattini_quotient(pres)[2]
+    r, _, lift = frattini_quotient(pres)
     want = []
     for d in _projective_points(pres.p, r):
         span = [d] if r == 2 else _left_nullspace([[x] for x in d], pres.p)
@@ -461,15 +476,39 @@ def test_maximals_match_their_closures(target):
     lambda: PcPresentation(5, 3, commutators={(2, 1): [(3, 1)]}),
     lambda: UnitriangularModel(4, 3).presentation,
     lambda: resolve("sg-3_6-34").presentation,
+    lambda: resolve("sg-3_6-40").presentation,
+    lambda: resolve("sg-3_5-3").presentation,
 ])
 def test_frattini_projection_is_the_coset_projection(make):
-    # the linear projection through the generators' images against the
-    # canonical coset representative of every element
+    # the rank, the linear projection through the generators' images and
+    # the lift against the quotient presentation by the Frattini
+    # subgroup, whose projection is the canonical coset representative
     pres = make()
-    _, project, _ = frattini_quotient(pres)
-    _, reference, _ = quotient_presentation(pres, frattini(pres))
+    r, project, lift = frattini_quotient(pres)
+    quotient, reference, reference_lift = quotient_presentation(
+        pres, frattini(pres))
+    assert r == quotient.n
     for v in pres.elements():
         assert project(v) == reference(v)
+    for d in _projective_points(pres.p, r):
+        assert lift(d) == reference_lift(d)
+
+
+def test_thin_width_two_layers_are_elementary():
+    # lattice_profile tags every width-2 layer of a thin group a diamond:
+    # G/gamma_2 is elementary of order p^2, so every layer is elementary
+    seen = 0
+    for name in CATALOG_TARGETS:
+        pres = resolve(name).presentation
+        if not is_thin(pres).thin:
+            continue
+        terms = lower_central_series(pres).terms
+        for upper, lower in zip(terms, terms[1:]):
+            if upper.log_order - lower.log_order == 2:
+                seen += 1
+                assert all(pres.power(b, pres.p) in lower
+                           for b in upper.basis)
+    assert seen > 0
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +541,7 @@ def brute_order(pres, table, v):
 
 def brute_directions(pres, table):
     """Normalized Frattini-quotient directions of the order-p elements."""
-    quotient, project, lift = frattini_quotient(pres)
+    _, project, _ = frattini_quotient(pres)
     out = set()
     for v, q in table.items():
         d = project(v)

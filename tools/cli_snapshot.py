@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Fingerprint the command line output on the whole catalog.
 
-Runs a fixed list of 112 `thinville` commands in one process through
-`thinville.cli.main`, at the default budget, and prints one line per
-command:
+Runs a fixed list of 460 `thinville` commands in one process through
+`thinville.cli.main` and prints one line per command:
 
     <exit code> <sha256 of stdout> <sha256 of stderr> <argv>
 
@@ -19,7 +18,11 @@ The list: `beauville --exhaustive` and `analyze` on the p = 3 entries
 and the builtins; `beauville --guided` and `analyze --guided --json` on
 the p = 5 entries; `beauville --exhaustive` on thin5-c5-A1 and
 thin5-c6-A2; `lattice` and `lattice --dot` on every target; and
-`verify-theorems --suite p3` and `--suite p5`.
+`verify-theorems --suite p3` and `--suite p5`, all 112 at the default
+budget.  Then, at `--budget` 10, 1000 and 100000, `analyze --json`,
+`beauville`, `beauville --exhaustive` and `lattice` on every target and
+on heisenberg-1009 and elab-1009: 348 commands, where the budget runs
+out at different phases.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ def commands():
         out.append(["lattice", target, "--dot"])
     out.append(["verify-theorems", "--suite", "p3"])
     out.append(["verify-theorems", "--suite", "p5"])
+    for budget in ("10", "1000", "100000"):
+        for target in (list(BUILTIN_IDS) + entries
+                       + ["heisenberg-1009", "elab-1009"]):
+            for argv in (["analyze", target, "--json"],
+                         ["beauville", target],
+                         ["beauville", target, "--exhaustive"],
+                         ["lattice", target]):
+                out.append(argv + ["--budget", budget])
     return out
 
 
