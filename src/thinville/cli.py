@@ -176,11 +176,11 @@ def _formula_battery(p):
     return rows
 
 
-def _run_formulas(p, as_json=False):
+def _run_formulas(p, as_json=False, budget=None):
     if p < 3 or not _is_prime(p):
         raise UnknownTargetError(f"need an odd prime, got {p}")
     # (p-1)(p-2)/2 coefficient pairs, each a sum of p-1 binomial products
-    check_budget((p - 1) ** 2 * (p - 2) // 2, None,
+    check_budget((p - 1) ** 2 * (p - 2) // 2, budget,
                  "identity battery needs {} coefficient terms")
     rows = _formula_battery(p)
     failed = sum(f for _, _, f in rows)
@@ -325,7 +325,7 @@ def _suite_p5(budget):
 
 def cmd_verify_theorems(args):
     if args.suite == "formulas":
-        return _run_formulas(args.p if args.p else 5, False)
+        return _run_formulas(args.p if args.p else 5, False, args.budget)
     budget = args.budget
     if args.suite == "p3":
         lines, ok, inconclusive = _suite_p3(budget)

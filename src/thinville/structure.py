@@ -682,14 +682,14 @@ def is_thin(pres, budget=None) -> ThinReport:
 def _covering_holds_on_layer(pres, upper, target, deeper, budget=None):
     """Check [g,G] deeper = target for all g in upper minus target.
 
-    The caller has checked that G/gamma_2 is elementary of order p^2,
-    so every layer is elementary abelian and target/deeper is central
-    in G/deeper.  Modulo deeper, g -> [g, x] is then linear on
-    upper/target for each x, as [gt, x] = [g, x] [[g, x], t] [t, x]
-    with the last two factors in deeper, and x -> [g, x] is a
-    homomorphism; so g ranges over one representative u per direction
-    of upper/target, and the [u, x] for the generators x, adjoined to
-    deeper's induced sequence, must span target/deeper."""
+    The caller has checked that G/gamma_2 is elementary, so every layer
+    is elementary abelian and target/deeper is central in G/deeper.
+    Modulo deeper, g -> [g, x] is then linear on upper/target for each
+    x, as [gt, x] = [g, x] [[g, x], t] [t, x] with the last two factors
+    in deeper, and x -> [g, x] is a homomorphism; so g ranges over one
+    representative u per direction of upper/target, and the [u, x] for
+    the generators x, adjoined to deeper's induced sequence, must span
+    target/deeper."""
     basis = _layer_basis(upper, target)
     check_budget((pres.p ** len(basis) - 1) // (pres.p - 1), budget,
                  "thinness covering check needs {} directions")
@@ -861,25 +861,18 @@ def verify_place_of_agemo(pres, budget=None) -> PlaceOfAgemoReport:
     return PlaceOfAgemoReport(True, depth, W.order, checks)
 
 
-def covering_property_check(pres, rng, samples_per_layer=3) -> bool:
-    """Spot-check that commutation with random layer elements regenerates
-    the next lower central term."""
-    series = lower_central_series(pres)
-    for i in range(1, len(series.terms)):
-        upper = series.terms[i - 1]
-        target = series.terms[i]
-        deeper = gamma(pres, i + 2)
-        if upper.log_order == target.log_order:
-            continue
-        for _ in range(samples_per_layer):
-            g = upper.random_element(rng)
-            while g in target:
-                g = upper.random_element(rng)
-            comms = [pres.commutator(g, h) for h in pres.gens()]
-            span = generated_subgroup(pres, comms + list(deeper.basis))
-            if span != target:
-                return False
-    return True
+def covering_property_check(pres) -> bool:
+    """Whether [g, G] gamma_(i+2) = gamma_(i+1) for every i and every g
+    in gamma_i outside gamma_(i+1): is_thin's exact layer test,
+    _covering_holds_on_layer, run on every layer.  Its precondition is
+    that the Frattini subgroup is gamma_2, that is, that G/gamma_2 is
+    elementary; ValueError otherwise."""
+    if frattini(pres).log_order != gamma(pres, 2).log_order:
+        raise ValueError("covering check needs G/gamma_2 elementary")
+    terms = lower_central_series(pres).terms
+    return all(_covering_holds_on_layer(pres, terms[i - 1], terms[i],
+                                        gamma(pres, i + 2))[0]
+               for i in range(1, len(terms)))
 
 
 # ----------------------------------------------------------------------

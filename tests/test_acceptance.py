@@ -245,14 +245,13 @@ def test_criterion_09_structural_lemmas():
     t0 = time.time()
     entries = _thin_metabelian_entries()
     assert entries
-    rng = random.Random(97)
     place_checked = place_skipped = 0
     for entry in entries:
         pres = entry.presentation
         W = agemo(pres)
         assert W.contains_subgroup(gamma(pres, pres.p)), \
             f"{entry.id}: p-th powers miss the deep term"
-        assert covering_property_check(pres, rng), \
+        assert covering_property_check(pres), \
             f"{entry.id}: covering property failed"
         assert W.log_order <= 3, f"{entry.id}: power subgroup too large"
         try:

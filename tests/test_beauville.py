@@ -7,6 +7,7 @@ every sampled pair of pairs. Verdicts frozen below were computed by the
 exhaustive sweep, whose refutations are definitionally complete.
 """
 
+import importlib
 import random
 import time
 from itertools import combinations
@@ -312,6 +313,25 @@ def test_guided_without_recipe_is_honest(m27):
     v = guided_beauville(m27)
     assert v.status == "inconclusive"
     assert "no recipe" in v.detail
+
+
+def test_guided_exhaustion_is_honest(monkeypatch):
+    # every candidate fails verification: the search verifies each of
+    # the C(6, 3) = 20 direction partitions of p = 5 once, then says so;
+    # the package attribute thinville.beauville is the function, so the
+    # module comes from importlib
+    module = importlib.import_module("thinville.beauville")
+    calls = []
+
+    def fail(pres, pair1, pair2, budget=None):
+        calls.append((pair1, pair2))
+        return None, "stubbed"
+
+    monkeypatch.setattr(module, "verify_beauville_structure", fail)
+    v = guided_beauville(resolve("thin5-c5-A3").presentation)
+    assert (v.status, v.method) == ("inconclusive", "guided-A3")
+    assert v.detail == "recipe candidates exhausted after 20 attempts"
+    assert len(calls) == 20
 
 
 # ----------------------------------------------------------------------

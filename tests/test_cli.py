@@ -165,6 +165,21 @@ def test_formulas_budget_from_the_environment(capsys, monkeypatch):
                    f"{_battery_terms(11) - 1}\n")
 
 
+def test_verify_formulas_budget_flag_reaches_the_gate(capsys, monkeypatch):
+    # --budget, not THINVILLE_BUDGET, decides: the battery is stubbed
+    monkeypatch.delenv("THINVILLE_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "_formula_battery", lambda p: [])
+    rc, out, err = run(capsys, "verify-theorems", "--suite", "formulas",
+                       "--p", "7", "--budget", "10")
+    assert (rc, out) == (3, "")
+    assert err == (f"inconclusive: identity battery needs "
+                   f"{_battery_terms(7)} coefficient terms, budget is 10\n")
+    rc, out, err = run(capsys, "verify-theorems", "--suite", "formulas",
+                       "--p", "401", "--budget", "100000000")
+    assert (rc, err) == (0, "")
+    assert "status: pass" in out
+
+
 def test_unknown_target_is_usage_error(capsys):
     rc, _, err = run(capsys, "analyze", "does-not-exist")
     assert rc == 2

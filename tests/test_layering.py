@@ -10,6 +10,9 @@ Invariants are memoized in one place: outside structure._memo and the
 one keyed cache of structure.conjugacy_class, no function of the engine
 touches pres.cache.
 
+Verdicts are deterministic: no module of the engine imports random, so
+randomness enters only through an rng argument.
+
 The budget is one contract: only structure.check_budget resolves a
 budget and raises BudgetExceededError, only beauville.beauville turns
 it into a verdict, and only cli.main turns what escapes into an exit
@@ -117,3 +120,21 @@ def test_one_memo():
                 hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
                             f".cache in {owner or 'module level'}")
     assert not hits, "cache handled outside _memo:\n" + "\n".join(hits)
+
+
+def test_no_engine_randomness():
+    files = sorted((ROOT / "src" / "thinville").glob("*.py"))
+    assert "beauville.py" in {f.name for f in files}
+    hits = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "random" for n in names):
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not hits, "engine imports random:\n" + "\n".join(hits)

@@ -673,10 +673,14 @@ def test_normal_subgroup_walk_h5(h5):
     assert orders == [1, 5, 25, 25, 25, 25, 25, 25, 125]
 
 
-def test_covering_spot_check(h5, m27):
-    rng = random.Random(1)
-    assert covering_property_check(h5, rng)
-    assert covering_property_check(m27, rng)
+def test_covering_spot_check(h5, m27, c25c25):
+    assert covering_property_check(h5)
+    assert covering_property_check(m27)
+    # non-thin: some element of gamma_2 outside gamma_3 fails to cover
+    assert not covering_property_check(resolve("sg-3_6-40").presentation)
+    # the Frattini subgroup is not gamma_2, so the layers are not linear
+    with pytest.raises(ValueError):
+        covering_property_check(c25c25)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fingerprint the command line output on the whole catalog.
 
-Runs a fixed list of 460 `thinville` commands in one process through
+Runs a fixed list of 474 `thinville` commands in one process through
 `thinville.cli.main` and prints one line per command:
 
     <exit code> <sha256 of stdout> <sha256 of stderr> <argv>
@@ -22,7 +22,10 @@ thin5-c6-A2; `lattice` and `lattice --dot` on every target; and
 budget.  Then, at `--budget` 10, 1000 and 100000, `analyze --json`,
 `beauville`, `beauville --exhaustive` and `lattice` on every target and
 on heisenberg-1009 and elab-1009: 348 commands, where the budget runs
-out at different phases.
+out at different phases.  Last, 14 commands on the identity battery:
+`formulas --p P` and `formulas --p P --json` for P = 3, 5, 7, 11 and
+401, `formulas --p 4`, and `verify-theorems --suite formulas` alone,
+with `--p 7`, and with `--p 7 --budget 10`.
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ def commands():
                          ["beauville", target, "--exhaustive"],
                          ["lattice", target]):
                 out.append(argv + ["--budget", budget])
+    for p in ("3", "5", "7", "11", "401"):
+        out.append(["formulas", "--p", p])
+        out.append(["formulas", "--p", p, "--json"])
+    out.append(["formulas", "--p", "4"])
+    suite = ["verify-theorems", "--suite", "formulas"]
+    out.extend([suite, suite + ["--p", "7"],
+                suite + ["--p", "7", "--budget", "10"]])
     return out
 
 
